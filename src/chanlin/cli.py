@@ -1,8 +1,8 @@
 """Command-line interface: check, generate, mutate, emit-smt, stats.
 
 Exit codes are the machine contract: 0 = consistent (or command succeeded),
-1 = inconsistent (or trace violation), 2 = usage/validation error.  Stdout is
-stable ``key: value`` lines.
+1 = inconsistent (or trace violation), 2 = usage/validation error or internal
+error (traceback on stderr).  Stdout is stable ``key: value`` lines.
 """
 
 from __future__ import annotations
@@ -73,37 +73,25 @@ def _dispatch(inst: Instance, algo: str, saturation: bool) -> tuple[Verdict, str
     rf = inst.rf
     if algo == "brute":
         return brute_force(x, cap, rf, bound=max(inst.n, 1)), "brute"
-    if algo == "frontier":
+    if algo == "frontier" or (algo == "auto" and rf is None):
         return solve_vch(x, cap), "frontier"
-    if algo == "frontier-rf":
-        if rf is None:
-            raise ValueError("frontier-rf requires a reads-from relation")
-        if saturation:
-            return solve_vchrf_saturated(x, cap, rf), "frontier-rf-saturated"
-        return solve_vchrf(x, cap, rf), "frontier-rf"
+    if rf is None:
+        raise ValueError(f"{algo} requires a reads-from relation")
     if algo == "sync":
-        if rf is None:
-            raise ValueError("sync solver requires a reads-from relation")
         return solve_sync(x, cap, rf), "sync"
     if algo == "acyclic":
-        if rf is None:
-            raise ValueError("acyclic solver requires a reads-from relation")
         return solve_acyclic(x, cap, rf), "acyclic"
-    # auto: fastest applicable algorithm, falling back to the frontier solvers.
-    if rf is not None:
+    if algo == "auto":
+        # Fastest applicable algorithm, falling back to the frontier search.
         if x.events and all(cap[e.channel] == 0 for e in x.events):
-            try:
-                return solve_sync(x, cap, rf), "sync"
-            except AlgorithmRefused:
-                pass
+            return solve_sync(x, cap, rf), "sync"
         try:
             return solve_acyclic(x, cap, rf), "acyclic"
         except AlgorithmRefused:
             pass
-        if saturation:
-            return solve_vchrf_saturated(x, cap, rf), "frontier-rf-saturated"
-        return solve_vchrf(x, cap, rf), "frontier-rf"
-    return solve_vch(x, cap), "frontier"
+    if saturation:
+        return solve_vchrf_saturated(x, cap, rf), "frontier-rf-saturated"
+    return solve_vchrf(x, cap, rf), "frontier-rf"
 
 
 @click.group()
@@ -135,6 +123,9 @@ def check(input: str, algo: str, no_saturation: bool, witness: str | None) -> No
         _fail(f"algorithm refused: {exc}")
     except ValueError as exc:
         _fail(str(exc))
+    except Exception:  # a crash must never read as "inconsistent"
+        sys.excepthook(*sys.exc_info())  # the usual traceback, on stderr
+        _fail("internal error")
     click.echo(f"result: {verdict.outcome}")
     click.echo(f"algorithm: {used}")
     click.echo(f"explored: {verdict.explored}")
@@ -248,16 +239,16 @@ def emit_smt(
     inst = _load(input)
     if inst.rf is None:
         _fail("emit-smt requires a reads-from relation")
+    cmd = solver_cmd or os.environ.get("CHANLIN_SMT_CMD")
+    if cmd and not output:
+        _fail("--solver-cmd requires --output")
     text = emit_smtlib(inst.abstract, inst.cap_map, inst.rf, with_saturation)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
-    cmd = solver_cmd or os.environ.get("CHANLIN_SMT_CMD")
     if cmd:
-        if not output:
-            _fail("--solver-cmd requires --output")
         try:
             click.echo(f"solver: {run_external_solver(output, cmd)}")
         except SolverError as exc:

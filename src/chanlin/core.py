@@ -191,16 +191,6 @@ class Instance:
         return len(self.events)
 
 
-def rf_by_rcv(rf: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Map receive id -> send id."""
-    return {r: s for s, r in rf}
-
-
-def rf_by_snd(rf: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Map send id -> receive id."""
-    return {s: r for s, r in rf}
-
-
 # ---------------------------------------------------------------------------
 # Instance construction and validation
 # ---------------------------------------------------------------------------
@@ -262,19 +252,74 @@ def _validate_rf(inst: Instance) -> None:
     snds: set[int] = set()
     rcvs: set[int] = set()
     for s, r in inst.rf or ():
-        if s not in by_id or r not in by_id:
-            raise ValidationError(f"rf ({s},{r}): endpoint missing")
+        bad = _rf_pair_defect(by_id, s, r)
+        if bad is not None:
+            raise ValidationError(bad)
         es, er = by_id[s], by_id[r]
-        if es.op != SND or er.op != RCV:
-            raise ValidationError(f"rf ({s},{r}): rf endpoint op mismatch")
-        if es.channel != er.channel:
-            raise ValidationError(f"rf ({s},{r}): endpoints on different channels")
         if s in snds or r in rcvs:
             raise ValidationError(f"rf ({s},{r}): rf is not injective")
         snds.add(s)
         rcvs.add(r)
         if es.value is not None and er.value is not None and es.value != er.value:
             raise ValidationError(f"rf ({s},{r}): matched events carry different values")
+
+
+def _rf_pair_defect(by_id: Mapping[int, Event], s: int, r: int) -> str | None:
+    """Why the pair ``(s, r)`` cannot be a reads-from edge, or ``None``."""
+    es, er = by_id.get(s), by_id.get(r)
+    if es is None or er is None:
+        return f"rf ({s},{r}): endpoint missing"
+    if es.op != SND or er.op != RCV:
+        return f"rf ({s},{r}): rf endpoint op mismatch"
+    if es.channel != er.channel:
+        return f"rf ({s},{r}): endpoints on different channels"
+    return None
+
+
+def rf_defect(
+    x: AbstractExecution,
+    cap: Mapping[str, float],
+    rf: Iterable[tuple[int, int]],
+) -> str | None:
+    """The first reason no interleaving of ``x`` can realize ``rf``, or ``None``.
+
+    Every rf solver calls this before any search.  In order, it rejects a pair
+    with a missing endpoint, a pair that is not a send and a receive on one
+    channel, an event in two pairs, a synchronous pair inside one thread, a
+    receive with no rf source, and a synchronous send that rf leaves unmatched.
+
+    The endpoint, injectivity and source rules hold because in a trace each
+    receive takes exactly one send of its own channel, and each send is taken
+    at most once.  The two synchronous rules hold because of the rendezvous:
+    in a well-formed trace a capacity-0 send is followed at once by a receive
+    on its channel from another thread, and every capacity-0 receive comes
+    right after such a send.  Sends and receives on the channel therefore
+    alternate, and the receive right after each send is the one rf pairs with
+    it.  So every synchronous send is matched, and never with a receive of its
+    own thread.  Together the two rules reject every synchronous channel that
+    only one thread uses.
+    """
+    by_id = x.by_id
+    matched: set[int] = set()
+    for s, r in rf:
+        bad = _rf_pair_defect(by_id, s, r)
+        if bad is not None:
+            return bad
+        if s in matched or r in matched:
+            return f"rf ({s},{r}): rf is not injective"
+        es = by_id[s]
+        if cap[es.channel] == 0 and es.thread == by_id[r].thread:
+            return f"rf ({s},{r}): synchronous pair within one thread"
+        matched.add(s)
+        matched.add(r)
+    for e in x.events:
+        if e.id in matched:
+            continue
+        if e.op == RCV:
+            return f"receive {e.id} has no rf source"
+        if cap[e.channel] == 0:
+            return f"send {e.id} is unmatched on a synchronous channel"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,8 @@ from .core import (
     Verdict,
     classify_channels,
     communication_topology,
+    rf_defect,
 )
-
-
-class SyncValidationError(ValueError):
-    """The all-synchronous instance cannot be consistent (e.g. unmatched events)."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +47,16 @@ def build_send_receive_graph(
     x: AbstractExecution, rf: Sequence[tuple[int, int]]
 ) -> SendReceiveGraph:
     """Pack rf pairs into atomic nodes; edge u→v iff an element of u is the
-    immediate po predecessor of an element of v."""
-    by_id = x.by_id
+    immediate po predecessor of an element of v.
+
+    Every event must lie in an rf pair, which :func:`rf_defect` guarantees for
+    an all-synchronous instance it accepts.
+    """
     node_of: dict[int, int] = {}
     nodes = tuple(sorted(rf))
     for i, (s, r) in enumerate(nodes):
-        es, er = by_id.get(s), by_id.get(r)
-        if es is None or er is None:
-            raise SyncValidationError(f"rf ({s},{r}) references a missing event")
-        if es.op != SND or er.op != RCV or es.channel != er.channel:
-            raise SyncValidationError(f"rf ({s},{r}) endpoints mismatched")
-        if es.thread == er.thread:
-            raise SyncValidationError(f"rf ({s},{r}) is a same-thread synchronous pair")
         node_of[s] = i
         node_of[r] = i
-    for e in x.events:
-        if e.id not in node_of:
-            raise SyncValidationError(f"event {e.id} is unmatched on a synchronous channel")
     edges: set[tuple[int, int]] = set()
     for th in x.threads:
         seq = x.po[th]
@@ -86,10 +76,10 @@ def solve_sync(
     acyclic; the witness is a topological order expanded into snd·rcv pairs."""
     if any(cap[e.channel] != 0 for e in x.events):
         raise AlgorithmRefused("solve_sync requires all channels synchronous")
-    try:
-        g = build_send_receive_graph(x, rf)
-    except SyncValidationError as exc:
-        return Verdict(INCONSISTENT, reason=str(exc))
+    bad = rf_defect(x, cap, rf)
+    if bad is not None:
+        return Verdict(INCONSISTENT, reason=bad)
+    g = build_send_receive_graph(x, rf)
     order = _topo_sort(len(g.nodes), g.edges)
     if order is None:
         return Verdict(INCONSISTENT, explored=len(g.nodes))
@@ -406,30 +396,13 @@ def solve_acyclic(
     if not topo.acyclic:
         raise AlgorithmRefused("communication topology is cyclic")
 
-    by_id = x.by_id
+    bad = rf_defect(x, cap, rf)
+    if bad is not None:
+        return Verdict(INCONSISTENT, reason=bad)
     by_rcv = {r: s for s, r in rf}
-    by_snd = {s: r for s, r in rf}
-    for s, r in rf:
-        es, er = by_id.get(s), by_id.get(r)
-        if es is None or er is None:
-            return Verdict(INCONSISTENT, reason=f"rf ({s},{r}) references a missing event")
-        if es.op != SND or er.op != RCV or es.channel != er.channel:
-            return Verdict(INCONSISTENT, reason=f"rf ({s},{r}) endpoints mismatched")
-    for e in x.events:
-        if e.op == RCV and e.id not in by_rcv:
-            return Verdict(INCONSISTENT, reason=f"receive {e.id} has no rf source")
-        if classes[e.channel].kind == ChannelClass.SYNC:
-            if e.op == SND and e.id not in by_snd:
-                return Verdict(
-                    INCONSISTENT, reason=f"send {e.id} is unmatched on a synchronous channel"
-                )
-            mate = by_snd.get(e.id) if e.op == SND else by_rcv.get(e.id)
-            if mate is not None and by_id[mate].thread == e.thread:
-                return Verdict(
-                    INCONSISTENT, reason=f"synchronous rf pair within thread at event {e.id}"
-                )
 
-    # Channels accessed by a single thread: replay po directly.
+    # Channels accessed by a single thread (never synchronous once rf_defect
+    # has passed): replay po directly.
     for ch, th in topo.private_channels:
         verdict = _replay_private(x, cap, classes, by_rcv, ch, th)
         if verdict is not None:
@@ -475,11 +448,7 @@ def _replay_private(
     ch: str,
     th: str,
 ) -> Verdict | None:
-    """Validate a single-thread channel; po totally orders its events."""
-    if classes[ch].kind == ChannelClass.SYNC:
-        return Verdict(
-            INCONSISTENT, reason=f"synchronous channel {ch!r} accessed by one thread"
-        )
+    """Validate a single-thread asynchronous channel; po totally orders its events."""
     queue: list[int] = []
     bounded = classes[ch].kind == ChannelClass.BOUNDED
     for eid in x.po[th]:

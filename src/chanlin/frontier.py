@@ -23,6 +23,7 @@ from .core import (
     AbstractExecution,
     Event,
     Verdict,
+    rf_defect,
 )
 from .saturation import SaturatedOrder, ready, saturate
 
@@ -55,7 +56,7 @@ def solve_vchrf(
     rf: tuple[tuple[int, int], ...],
 ) -> Verdict:
     """Decide VCh-rf consistency by frontier reachability."""
-    bad = _validate_rf(x, rf)
+    bad = rf_defect(x, cap, rf)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
     return _search(x, cap, rf=rf, order=None)
@@ -83,29 +84,13 @@ def solve_vchrf_saturated(
     rf: tuple[tuple[int, int], ...],
 ) -> Verdict:
     """VCh-rf with saturation: early cycle rejection, then pruned search."""
-    bad = _validate_rf(x, rf)
+    bad = rf_defect(x, cap, rf)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
     order = saturate(x, cap, rf)
     if order.cyclic:
         return Verdict(INCONSISTENT, explored=0, reason="saturation cycle")
     return _search(x, cap, rf=rf, order=order)
-
-
-def _validate_rf(x: AbstractExecution, rf: tuple[tuple[int, int], ...]) -> str | None:
-    """Reject instances where the reads-from relation cannot be realized."""
-    by_rcv = {r: s for s, r in rf}
-    by_id = x.by_id
-    for s, r in rf:
-        if s not in by_id or r not in by_id:
-            return f"rf ({s},{r}) references a missing event"
-        es, er = by_id[s], by_id[r]
-        if es.op != SND or er.op != RCV or es.channel != er.channel:
-            return f"rf ({s},{r}) endpoints mismatched"
-    for e in x.events:
-        if e.op == RCV and e.id not in by_rcv:
-            return f"receive {e.id} has no rf source"
-    return None
 
 
 def _search(

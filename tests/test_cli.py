@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from click.testing import CliRunner
 
 from chanlin.cli import main
@@ -46,6 +47,12 @@ class TestCheck:
         r = run("check", fixtures / "three_thread_cap2_positive.vchk", "--algo", "sync")
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("algo", ["frontier-rf", "sync", "acyclic"])
+    def test_rf_algo_without_rf_exit_two(self, fixtures, algo):
+        r = run("check", fixtures / "two_thread_cap1_positive.vchk", "--algo", algo)
+        assert r.exit_code == 2
+        assert f"{algo} requires a reads-from relation" in r.stderr
+
     def test_brute(self, fixtures):
         r = run("check", fixtures / "three_thread_cap2_positive.vchk", "--algo", "brute")
         assert r.exit_code == 0
@@ -57,6 +64,18 @@ class TestCheck:
         r2 = run("check", w)
         assert r2.exit_code == 0
         assert "result: ok" in r2.output
+
+    def test_internal_error_exit_two(self, tmp_path):
+        # 1 500 snd/rcv pairs in one thread recurse deeper than brute force can.
+        lines = ["vchk v1", "kind abstract", "channel c cap 1"]
+        for i in range(1, 3001, 2):
+            lines += [f"event {i} t1 snd c", f"event {i + 1} t1 rcv c", f"rf {i} {i + 1}"]
+        inst = tmp_path / "deep.vchk"
+        inst.write_text("\n".join(lines) + "\n")
+        r = run("check", inst, "--algo", "brute")
+        assert r.exit_code == 2
+        assert "RecursionError" in r.stderr
+        assert "result:" not in r.stdout
 
     def test_no_saturation_flag(self, fixtures):
         r = run("check", fixtures / "two_thread_cap1_negative_rf.vchk", "--algo", "frontier-rf", "--no-saturation")
@@ -149,6 +168,13 @@ class TestEmitSmtAndStats:
         parsed = parse_instance(inst.read_text())
         n, m = parsed.n, len(parsed.cap)
         assert out.read_text().count("(declare-const") == n + m * (2 * n + 2)
+
+    def test_solver_cmd_without_output_emits_nothing(self, tmp_path):
+        inst = tmp_path / "i.vchk"
+        run("generate", "random", "--events", 12, "--seed", 3, "--output", inst)
+        r = run("emit-smt", inst, "--solver-cmd", "true {input}")
+        assert r.exit_code == 2
+        assert "(set-logic" not in r.stdout
 
     def test_emit_requires_rf(self, fixtures):
         r = run("emit-smt", fixtures / "two_thread_cap1_positive.vchk")

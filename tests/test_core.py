@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,16 @@ from chanlin import (
 from .conftest import rand_instance
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestParseSerialize:
+    def test_readme_examples_parse(self):
+        blocks = re.findall(r"```\n(vchk v1\n.*?)```", README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            parse_instance(block)
+
     def test_round_trip_basic(self):
         text = (
             "vchk v1\n"
