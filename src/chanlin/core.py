@@ -134,9 +134,10 @@ class Verdict:
     """Outcome of a consistency check.
 
     ``witness`` is a tuple of event ids (a concretization) present iff
-    consistent; ``explored`` counts distinct search states visited (0 for
-    non-search algorithms and early rejections); ``reason`` documents
-    inconsistency verdicts produced by validation short-circuits.
+    consistent; ``explored`` counts distinct search states generated after
+    the search's reductions (0 for non-search algorithms and early
+    rejections); ``reason`` documents inconsistency verdicts produced by
+    validation short-circuits.
     """
 
     outcome: str  # CONSISTENT | INCONSISTENT

@@ -1,45 +1,52 @@
 """Frontier-graph decision procedures for VCh and VCh-rf.
 
-A frontier node summarizes a po-downward-closed set of executed events by
-per-thread counters, the pending (sent, not yet received) contents of every
-asynchronous channel as FIFO queues of send event ids, and at most one
-pending synchronous send.  The instance is consistent iff a sink node (all
-events executed, no pending synchronous send) is reachable from the empty
-source node.  The graph is never materialized: depth-first search expands
-nodes on the fly, deduplicating by a canonical byte key.
+A frontier state summarizes a po-downward-closed set of executed events as a
+plain tuple ``(counts, queues, pending)``: per-thread counters, the pending
+(sent, not yet received) contents of every asynchronous channel as FIFO
+queues of send event ids, and at most one pending synchronous send.  The
+instance is consistent iff a sink state (all events executed, no pending
+synchronous send) is reachable from the empty source state.  The graph is
+never materialized: depth-first search expands states on the fly, and the
+state tuple itself is the key of the one table, which maps each generated
+state to its parent and the event that led to it.
+
+Safe receives (rf mode only).  In a state with no pending synchronous send,
+if some thread's next event is an enabled, saturation-ready receive on an
+asynchronous channel, only that receive is expanded: the first such one in
+thread order.  This is a persistent-set reduction (Godefroid, *Partial-Order
+Methods for the Verification of Concurrent Systems*, 1996), and it is sound:
+
+1. ``rf_defect`` has already made rf injective, so the channel's front, the
+   receive's own rf source, can be taken by no other receive.  No path from
+   the state fires another receive on that channel before this one.
+2. Sends only append to a channel, and the receive only frees capacity, so
+   every other event of such a path stays enabled with the receive moved
+   first, and the path ends with the same queues.  The receive never sits
+   between a synchronous send and its receive, so no rendezvous is split.
+3. Saturated readiness is monotone in ``counts``, so the moved events stay
+   ready.
+4. Every step raises the sum of ``counts``, so the state graph is acyclic and
+   needs no cycle proviso.
+
+So any path to a sink can be reordered to start with that receive.  Value
+mode (:func:`solve_vch`) keeps full expansion: there a receive may match
+several sends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import ge
 from typing import Mapping
 
 from .core import (
     CONSISTENT,
     INCONSISTENT,
-    INF,
-    RCV,
     SND,
     AbstractExecution,
-    Event,
     Verdict,
     rf_defect,
 )
-from .saturation import SaturatedOrder, ready, saturate
-
-
-@dataclass(frozen=True)
-class FrontierNode:
-    """Public view of a search state: ⟨counts, queues, pending sync send⟩."""
-
-    counts: tuple[int, ...]  # per thread, aligned with sorted thread tokens
-    queues: tuple[tuple[str, tuple[int, ...]], ...]  # (channel, send ids), sorted
-    pending_sync: int | None
-
-
-def node_key(node: FrontierNode) -> bytes:
-    """Canonical byte key: injective over states of one instance."""
-    return repr((node.counts, node.queues, node.pending_sync)).encode("ascii")
+from .saturation import SaturatedOrder, saturate
 
 
 def solve_vch(x: AbstractExecution, cap: Mapping[str, float]) -> Verdict:
@@ -60,22 +67,6 @@ def solve_vchrf(
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
     return _search(x, cap, rf=rf, order=None)
-
-
-def solve_vch_saturated(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: tuple[tuple[int, int], ...] | None = None,
-) -> Verdict:
-    """Saturated VCh entry point.
-
-    Saturation is defined over a reads-from relation; without one there is
-    nothing to saturate, so this delegates to the plain solver (or to the
-    saturated rf solver when rf is supplied).
-    """
-    if rf is not None:
-        return solve_vchrf_saturated(x, cap, rf)
-    return solve_vch(x, cap)
 
 
 def solve_vchrf_saturated(
@@ -101,90 +92,97 @@ def _search(
 ) -> Verdict:
     threads = x.threads
     t = len(threads)
-    seqs = [[x.by_id[i] for i in x.po[th]] for th in threads]
-    lens = [len(s) for s in seqs]
-    rf_of = {r: s for s, r in rf} if rf is not None else None
     by_id = x.by_id
-
-    async_chs = tuple(sorted({e.channel for e in x.events if cap[e.channel] > 0}))
+    async_chs = sorted({e.channel for e in x.events if cap[e.channel] > 0})
     ch_index = {ch: i for i, ch in enumerate(async_chs)}
 
-    # State: (counts tuple, queues tuple-of-tuples aligned with async_chs,
-    # pending sync send id or None).
-    source = (tuple([0] * t), tuple(() for _ in async_chs), None)
-    source_key = repr(source).encode("ascii")
-    visited = {source_key}
-    parents: dict[bytes, tuple[bytes, int] | None] = {source_key: None}
-    stack = [(source, source_key)]
+    # A receive matches a front (or pending) send iff both carry one tag: the
+    # send's id and the receive's rf source under rf, their values otherwise.
+    if rf is not None:
+        src_of = {r: s for s, r in rf}
+        tag = {e.id: e.id if e.op == SND else src_of.get(e.id) for e in x.events}
+    else:
+        tag = {e.id: e.value for e in x.events}
+    sync_of = {
+        e.id: (e.channel, threads.index(e.thread))
+        for e in x.events
+        if e.op == SND and cap[e.channel] == 0
+    }
 
-    def matches(snd: Event, rcv: Event) -> bool:
-        if rf_of is not None:
-            return rf_of.get(rcv.id) == snd.id
-        return snd.value == rcv.value
+    # Per thread position: (id, is send, channel, queue slot or -1 when
+    # synchronous, capacity, tag, saturated predecessor counts).
+    steps = [
+        [
+            (
+                e.id,
+                e.op == SND,
+                e.channel,
+                ch_index.get(e.channel, -1),
+                cap[e.channel],
+                tag[e.id],
+                order.pred_counts[order.index[e.id]] if order is not None else None,
+            )
+            for e in (by_id[i] for i in x.po[th])
+        ]
+        for th in threads
+    ]
+    lens = tuple(len(s) for s in steps)
+    safe = rf is not None
 
+    source = ((0,) * t, ((),) * len(async_chs), None)
+    parents: dict[tuple, tuple[tuple, int] | None] = {source: None}
+    stack = [source]
     while stack:
-        (counts, queues, pending), key = stack.pop()
-        if pending is None and all(counts[i] == lens[i] for i in range(t)):
+        state = stack.pop()
+        counts, queues, pending = state
+        if pending is None and counts == lens:
             trace: list[int] = []
-            cur = parents[key]
+            cur = parents[state]
             while cur is not None:
-                pkey, eid = cur
+                state, eid = cur
                 trace.append(eid)
-                cur = parents[pkey]
+                cur = parents[state]
             trace.reverse()
-            return Verdict(CONSISTENT, witness=tuple(trace), explored=len(visited))
+            return Verdict(CONSISTENT, witness=tuple(trace), explored=len(parents))
+        if pending is not None:
+            pch, pti = sync_of[pending]
+            ptag = tag[pending]
 
-        children: list[tuple[tuple, bytes, int]] = []
+        children: list[tuple[tuple, int]] = []
         for ti in range(t):
-            if counts[ti] >= lens[ti]:
+            k = counts[ti]
+            if k == lens[ti]:
                 continue
-            e = seqs[ti][counts[ti]]
-            if order is not None and not ready(e.id, counts, order):
-                continue
-            c = cap[e.channel]
+            eid, snd, ch, qi, c, w, need = steps[ti][k]
             if pending is not None:
-                pe = by_id[pending]
-                if (
-                    e.op != RCV
-                    or e.channel != pe.channel
-                    or e.thread == pe.thread
-                    or not matches(pe, e)
-                ):
+                if snd or ch != pch or ti == pti or w != ptag:
                     continue
-                nxt = (_bump(counts, ti), queues, None)
-            elif c == 0:
-                if e.op != SND:
+                nq, np = queues, None
+            elif qi < 0:
+                if not snd:
                     continue
-                nxt = (_bump(counts, ti), queues, e.id)
-            elif e.op == SND:
-                qi = ch_index[e.channel]
+                nq, np = queues, eid
+            elif snd:
                 q = queues[qi]
-                if c != INF and len(q) >= c:
+                if len(q) >= c:
                     continue
-                nxt = (_bump(counts, ti), _replace(queues, qi, q + (e.id,)), None)
+                nq, np = queues[:qi] + (q + (eid,),) + queues[qi + 1 :], None
             else:
-                qi = ch_index[e.channel]
                 q = queues[qi]
-                if not q or not matches(by_id[q[0]], e):
+                if not q or tag[q[0]] != w:
                     continue
-                nxt = (_bump(counts, ti), _replace(queues, qi, q[1:]), None)
-            nkey = repr(nxt).encode("ascii")
-            if nkey not in visited:
-                visited.add(nkey)
-                parents[nkey] = (key, e.id)
-                children.append((nxt, nkey, e.id))
+                nq, np = queues[:qi] + (q[1:],) + queues[qi + 1 :], None
+            if need is not None and not all(map(ge, counts, need)):
+                continue
+            child = (counts[:ti] + (k + 1,) + counts[ti + 1 :], nq, np)
+            if safe and pending is None and not snd:
+                children = [(child, eid)]
+                break
+            children.append((child, eid))
         # Push in reverse so the lowest thread token is expanded first.
-        for child in reversed(children):
-            stack.append((child[0], child[1]))
+        for child, eid in reversed(children):
+            if child not in parents:
+                parents[child] = (state, eid)
+                stack.append(child)
 
-    return Verdict(INCONSISTENT, explored=len(visited))
-
-
-def _bump(counts: tuple[int, ...], ti: int) -> tuple[int, ...]:
-    return counts[:ti] + (counts[ti] + 1,) + counts[ti + 1 :]
-
-
-def _replace(
-    queues: tuple[tuple[int, ...], ...], qi: int, q: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    return queues[:qi] + (q,) + queues[qi + 1 :]
+    return Verdict(INCONSISTENT, explored=len(parents))

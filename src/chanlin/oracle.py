@@ -36,8 +36,9 @@ def brute_force(
 ) -> Verdict:
     """Decide consistency by exhaustive search.
 
-    With ``rf`` given, receives fire only against their mapped send; without
-    it, all events must carry values and receives match the front value.
+    With ``rf`` given, receives fire only against their mapped send, and a
+    receive named in two pairs is inconsistent; without it, all events must
+    carry values and receives match the front value.
     Threads are tried in ascending token order, so the returned witness is the
     lexicographically first by thread token.
     """
@@ -50,6 +51,9 @@ def brute_force(
             if e.value is None:
                 raise ValueError(f"event {e.id} lacks a value (required without rf)")
     rf_of = {r: s for s, r in rf} if rf is not None else None
+    if rf_of is not None and len(rf_of) < len(rf):
+        # A receive named in two pairs: a trace gives each receive one source.
+        return Verdict(INCONSISTENT, explored=0)
 
     counts = [0] * len(threads)
     queues: dict[str, list[Event]] = {e.channel: [] for e in x.events}

@@ -60,19 +60,6 @@ class SaturatedOrder:
         return self.succ[ei][self.thr_of[fi]] <= self.pos_of[fi]
 
 
-def ready(event_id: int, counts: Sequence[int], order: SaturatedOrder) -> bool:
-    """True iff every saturated predecessor of the event is already executed.
-
-    ``counts`` holds executed-event counts per thread, aligned with
-    ``order.threads``.
-    """
-    need = order.pred_counts[order.index[event_id]]
-    for ti, c in enumerate(counts):
-        if c < need[ti]:
-            return False
-    return True
-
-
 def saturate(
     x: AbstractExecution,
     cap: Mapping[str, float],

@@ -177,6 +177,27 @@ class TestCriterion4ReductionRoundTrips:
         assert count == 162
         assert time.monotonic() - t0 < 120
 
+    def test_3sat_seven_and_eight_clauses(self):
+        # Dropping one of the eight sign patterns leaves a satisfiable formula;
+        # all eight are unsatisfiable, so the search must exhaust its space.
+        patterns = [
+            tuple(v if bit else -v for v, bit in zip((1, 2, 3), bits))
+            for bits in itertools.product([0, 1], repeat=3)
+        ]
+        for size in (7, 8):
+            for combo in itertools.combinations(patterns, size):
+                inst = from_3sat_t3_m5(CnfFormula(3, combo))
+                x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+                pruned = solve_vchrf_saturated(x, cap, rf)
+                plain = solve_vchrf(x, cap, rf)
+                assert pruned.consistent == plain.consistent == (size == 7), combo
+                for got in (pruned, plain):
+                    if got.consistent:
+                        assert_valid_witness(inst, got)
+        # The last formula is the 8-clause one; without the safe-receive
+        # reduction its saturated space has 139 843 states.
+        assert len(combo) == 8 and pruned.explored < 139_843
+
     def test_orthogonal_vectors(self):
         t0 = time.monotonic()
         rng = random.Random(1002)

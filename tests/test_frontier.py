@@ -8,17 +8,15 @@ import pytest
 
 from chanlin import (
     Event,
-    FrontierNode,
     INF,
     brute_force,
     make_instance,
-    node_key,
     parse_instance,
     solve_vch,
-    solve_vch_saturated,
     solve_vchrf,
     solve_vchrf_saturated,
 )
+from chanlin.generators import mutate_rf, random_positive
 from .conftest import assert_valid_witness, rand_instance
 
 
@@ -95,11 +93,6 @@ class TestSolveVchrf:
         inst = make_instance("abstract", events, {"c": INF}, [(1, 4), (2, 3)])
         assert not solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
 
-    def test_saturated_entry_point_delegates(self):
-        events = [Event(1, "t1", "snd", "c", "1"), Event(2, "t2", "rcv", "c", "1")]
-        inst = make_instance("abstract", events, {"c": 1.0})
-        assert solve_vch_saturated(inst.abstract, inst.cap_map).consistent
-
 
 class TestAgainstOracle:
     def test_vch_matches_brute_force(self):
@@ -122,18 +115,26 @@ class TestAgainstOracle:
             if got.consistent:
                 assert_valid_witness(inst, got)
 
-
-class TestNodeKey:
-    def test_injective_on_distinct_states(self):
-        nodes = [
-            FrontierNode((0, 0), (("c", ()),), None),
-            FrontierNode((0, 1), (("c", ()),), None),
-            FrontierNode((0, 0), (("c", (1,)),), None),
-            FrontierNode((0, 0), (("c", ()),), 1),
-        ]
-        keys = {node_key(n) for n in nodes}
-        assert len(keys) == len(nodes)
-
-    def test_deterministic(self):
-        n = FrontierNode((1, 2), (("c", (3,)),), None)
-        assert node_key(n) == node_key(FrontierNode((1, 2), (("c", (3,)),), None))
+    def test_rf_solvers_match_brute_force_on_random_positive(self):
+        # Consistent instances and one rf mutation of each, over every
+        # capacity kind; both rf solvers are checked against the oracle.
+        rng = random.Random(103)
+        checked = 0
+        while checked < 1000:
+            n, t, m = rng.randint(6, 14), rng.randint(2, 4), rng.randint(1, 3)
+            try:
+                inst, _ = random_positive(n, t, m, (0, 1, 2, 3, INF), rng.randrange(10**9))
+            except ValueError:
+                continue  # no enabled event left, e.g. an odd n on sync channels
+            cases = [inst]
+            if inst.rf:
+                cases.append(mutate_rf(inst, rng.randrange(10**9), rounds=1)[0])
+            for case in cases:
+                x, cap, rf = case.abstract, case.cap_map, case.rf
+                want = brute_force(x, cap, rf, bound=x.n)
+                for solve in (solve_vchrf, solve_vchrf_saturated):
+                    got = solve(x, cap, rf)
+                    assert got.outcome == want.outcome, (solve.__name__, case)
+                    if got.consistent:
+                        assert_valid_witness(case, got)
+                checked += 1

@@ -46,3 +46,12 @@ def test_empty_instance():
     inst = make_instance("abstract", [], {"c": 1.0})
     v = brute_force(inst.abstract, inst.cap_map, rf=())
     assert v.consistent and v.witness == ()
+
+
+def test_receive_in_two_rf_pairs_inconsistent():
+    # The witness (1, 2, 3) realizes only (1, 3); no trace gives receive 3 two
+    # sources.  make_instance rejects such an rf, so it is passed directly.
+    events = [Event(1, "t1", "snd", "c"), Event(2, "t1", "snd", "c"), Event(3, "t2", "rcv", "c")]
+    inst = make_instance("abstract", events, {"c": INF})
+    v = brute_force(inst.abstract, inst.cap_map, rf=((2, 3), (1, 3)))
+    assert not v.consistent and v.witness is None

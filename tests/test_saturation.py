@@ -10,7 +10,6 @@ from chanlin import (
     Event,
     classify_channels,
     make_instance,
-    ready,
     saturate,
     solve_vchrf_saturated,
 )
@@ -125,7 +124,7 @@ class TestAgainstNaiveFixpoint:
 class TestReady:
     def test_ready_gates_on_predecessors(self):
         # Synchronous pair: the receive is ready only after the send's thread
-        # has executed the send.
+        # has executed the send, and the send needs nothing.
         events = [
             Event(1, "t1", "snd", "c"),
             Event(2, "t2", "rcv", "c"),
@@ -133,9 +132,9 @@ class TestReady:
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 2)])
         order = saturate(inst.abstract, inst.cap_map, inst.rf)
         assert not order.cyclic
-        assert ready(1, (0, 0), order)
-        assert not ready(2, (0, 0), order)
-        assert ready(2, (1, 0), order)
+        assert order.threads == ("t1", "t2")
+        assert order.pred_counts[order.index[1]] == (0, 0)
+        assert order.pred_counts[order.index[2]] == (1, 0)
 
 
 class TestPipelinePruning:
