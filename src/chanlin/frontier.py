@@ -31,6 +31,21 @@ Methods for the Verification of Concurrent Systems*, 1996), and it is sound:
 So any path to a sink can be reordered to start with that receive.  Value
 mode (:func:`solve_vch`) keeps full expansion: there a receive may match
 several sends.
+
+Ready asynchronous receives.  With saturation, sends and synchronous receives
+are tested against their ``pred_counts`` rows, but an enabled receive r on an
+asynchronous channel is not: it is always ready.  It is taken only when no
+rendezvous is pending, and every move before it was ready, so the executed
+set is downward closed in the saturated order.  By induction over the
+derivation of x ≺ r, every such x is executed:
+
+* po and rf predecessors of r are executed (rf(r) is at the channel front);
+* rule 1 gives r' ≺ r from s' ≺ s = rf(r); s' was executed before s, so it
+  entered the FIFO channel first and r' dequeued it before s reached the front;
+* rule 3 orders both ends of a rendezvous alike before r; one end is executed
+  by a shorter derivation, and with no rendezvous pending so is the other;
+* rules 2 and 4 and rule 1 backward order events only before sends, and a
+  step x ≺ y ≺ r passes through an executed y, and the executed set is closed.
 """
 
 from __future__ import annotations
@@ -110,7 +125,8 @@ def _search(
     }
 
     # Per thread position: (id, is send, channel, queue slot or -1 when
-    # synchronous, capacity, tag, saturated predecessor counts).
+    # synchronous, capacity, tag, saturated predecessor counts or None when
+    # the step needs no readiness test).
     steps = [
         [
             (
@@ -120,7 +136,9 @@ def _search(
                 ch_index.get(e.channel, -1),
                 cap[e.channel],
                 tag[e.id],
-                order.pred_counts[order.index[e.id]] if order is not None else None,
+                order.pred_counts[order.index[e.id]]
+                if order is not None and (e.op == SND or cap[e.channel] == 0)
+                else None,
             )
             for e in (by_id[i] for i in x.po[th])
         ]

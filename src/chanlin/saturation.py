@@ -11,6 +11,15 @@ and reads-from that is closed under four channel rules:
 4. on a capacity-1 channel, a matched send preceding another send forces its
    receive to precede that send too.
 
+Rules 1 and 4 fire on the earliest partner per thread only: popping an event
+derives an ordering only towards the first matched send (rule 1), the first
+send on a capacity-1 channel (rule 4) or the first matched receive (rule 1
+backward) that it precedes in each thread.  Nothing is lost.  If s2 ≺po s2'
+are matched sends of the channel in one thread, popping s2 derives
+r2 ≺ r2', so by induction on po distance r1 ≺ r2 reaches every later partner
+in that thread; rule 4's later sends follow s2 in po, and rule 1 backward runs
+the same chain over receives.  The least fixpoint is unchanged.
+
 A cycle in the saturated order certifies inconsistency; otherwise every
 concretization must respect the order, which licenses aggressive pruning of
 the frontier search.
@@ -23,6 +32,7 @@ each thread, so the minimum is exact and ordering queries are O(1).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -68,25 +78,27 @@ def saturate(
     """Compute the least fixpoint of the four saturation rules.
 
     Worklist algorithm over direct-edge adjacency: popping an event flows its
-    ordering knowledge backward into its direct predecessors; rule triggers
-    add derived direct edges, and the synchronous-pair rule glues each pair's
-    knowledge together.  Worst-case cubic; aborts as soon as a self-ordering
-    (cycle) appears.
+    ordering knowledge backward into its direct predecessors; rule 1 and 4
+    triggers add a direct edge to the earliest partner per thread unless the
+    ordering is already known, and the synchronous-pair rule glues each pair's
+    knowledge together.  O(t·n³) in the worst case, about n² on token rings;
+    aborts as soon as a self-ordering (cycle) appears.
     """
     threads = x.threads
     t = len(threads)
-    tidx = {th: i for i, th in enumerate(threads)}
     n = x.n
 
     index: dict[int, int] = {}
     ids: list[int] = []
     thr_of: list[int] = []
     pos_of: list[int] = []
-    for th in threads:
+    start: list[int] = []
+    for ti, th in enumerate(threads):
+        start.append(len(ids))
         for p, eid in enumerate(x.po[th]):
             index[eid] = len(ids)
             ids.append(eid)
-            thr_of.append(tidx[th])
+            thr_of.append(ti)
             pos_of.append(p)
 
     big = n + 1  # sentinel: larger than any po position
@@ -94,57 +106,56 @@ def saturate(
     preds: list[list[int]] = [[] for _ in range(n)]
 
     # Program order: immediate successor edges seed both succ and preds.
-    for th in threads:
-        seq = x.po[th]
-        ti = tidx[th]
-        for p in range(len(seq) - 1):
-            a, b = index[seq[p]], index[seq[p + 1]]
-            succ[a][ti] = p + 1
-            preds[b].append(a)
+    for a in range(n - 1):
+        if thr_of[a] == thr_of[a + 1]:
+            succ[a][thr_of[a]] = pos_of[a] + 1
+            preds[a + 1].append(a)
 
-    # Reads-from edges, channel pair tables, and rule bookkeeping.
+    # Reads-from edges and rule bookkeeping.
     classes = classify_channels(x, cap)
     by_id = x.by_id
-    pairs_by_ch: dict[str, list[tuple[int, int]]] = {}
-    sends_by_ch: dict[str, list[int]] = {}
-    matched: set[int] = set()
-    send_pair: dict[int, int] = {}  # matched send idx -> (own pair position in table)
-    rcv_pair: dict[int, int] = {}
+    rcv_of: dict[int, int] = {}  # matched send idx -> its rcv idx
+    snd_of: dict[int, int] = {}  # matched rcv idx -> its send idx
     glue_of: dict[int, int] = {}  # sync rcv idx -> its send idx
     sync_send: dict[int, int] = {}  # sync send idx -> its rcv idx
-
-    for e in x.events:
-        if e.op == SND:
-            sends_by_ch.setdefault(e.channel, []).append(index[e.id])
-
-    for s, r in sorted(rf):
+    for s, r in rf:
         si, ri = index[s], index[r]
         preds[ri].append(si)
-        ch = by_id[s].channel
-        table = pairs_by_ch.setdefault(ch, [])
-        send_pair[si] = len(table)
-        rcv_pair[ri] = len(table)
-        table.append((si, ri))
-        matched.add(si)
-        if classes[ch].kind == ChannelClass.SYNC:
+        rcv_of[si], snd_of[ri] = ri, si
+        if classes[by_id[s].channel].kind == ChannelClass.SYNC:
             glue_of[ri] = si
             sync_send[si] = ri
 
     # Rule 2: matched sends precede unmatched sends, statically.
-    for ch, sends in sends_by_ch.items():
-        unmatched = [s for s in sends if s not in matched]
-        if not unmatched:
-            continue
-        for m in sends:
-            if m in matched:
-                for u in unmatched:
-                    preds[u].append(m)
+    sends_by_ch: dict[str, list[int]] = {}
+    for e in x.events:
+        if e.op == SND:
+            sends_by_ch.setdefault(e.channel, []).append(index[e.id])
+    for sends in sends_by_ch.values():
+        for u in sends:
+            if u not in rcv_of:
+                preds[u].extend(m for m in sends if m in rcv_of)
 
-    cap1_chs = {ch for ch, cl in classes.items() if cl.kind == ChannelClass.BOUNDED and cl.bound == 1}
+    # Partner tables: per channel and thread, the sorted po positions of the
+    # matched sends, of the matched receives and, on capacity-1 channels, of
+    # all sends.  The event at position p of thread ti has index start[ti] + p.
     ch_of = [by_id[eid].channel for eid in ids]
 
+    def positions(idxs) -> dict[str, list[list[int]]]:
+        tab: dict[str, list[list[int]]] = {}
+        for i in sorted(idxs):
+            tab.setdefault(ch_of[i], [[] for _ in range(t)])[thr_of[i]].append(pos_of[i])
+        return tab
+
+    snd_tab, rcv_tab = positions(rcv_of), positions(snd_of)
+    cap1_tab = positions(
+        i
+        for ch, cl in classes.items()
+        if cl.kind == ChannelClass.BOUNDED and cl.bound == 1
+        for i in sends_by_ch.get(ch, ())
+    )
+
     cyclic = False
-    added: set[tuple[int, int]] = set()
     in_list = [True] * n
     work = list(range(n))  # LIFO; processed in reverse dense order first
 
@@ -182,50 +193,40 @@ def saturate(
             in_list[a] = True
             work.append(a)
 
-    def add_edge(u: int, v: int) -> None:
-        """Materialize a derived ordering u ≺ v as a direct edge."""
+    def derive(u: int, v: int) -> None:
+        """Record a derived u ≺ v as a direct edge, unless already known."""
         nonlocal cyclic
-        added.add((u, v))
+        if cyclic or succ[u][thr_of[v]] <= pos_of[v]:
+            return
         preds[v].append(u)
-        if flow(u, v):
-            if succ[u][thr_of[u]] <= pos_of[u]:
-                cyclic = True
-            push(u)
+        flow(u, v)
+        if succ[u][thr_of[u]] <= pos_of[u]:
+            cyclic = True
+        push(u)
 
-    def q(a: int, b: int) -> bool:
-        return succ[a][thr_of[b]] <= pos_of[b]
+    def partners(a: int, tab: list[list[int]]):
+        """Per thread, the earliest event of ``tab`` that ``a`` precedes."""
+        sa = succ[a]
+        for ti, ps in enumerate(tab):
+            k = bisect_left(ps, sa[ti])
+            if k < len(ps):
+                yield start[ti] + ps[k]
 
     while work and not cyclic:
         a = work.pop()
         in_list[a] = False
-        # Rule 1 / rule 4 triggers: orderings out of a matched endpoint.
-        pi = send_pair.get(a)
-        if pi is not None:
-            ch = ch_of[a]
-            table = pairs_by_ch[ch]
-            s1, r1 = table[pi]
-            for s2, r2 in table:
-                if s2 != s1 and (r1, r2) not in added and q(s1, s2):
-                    add_edge(r1, r2)
-                    if cyclic:
-                        break
-            if not cyclic and ch in cap1_chs:
-                for s2 in sends_by_ch[ch]:
-                    if s2 != s1 and (r1, s2) not in added and q(s1, s2):
-                        add_edge(r1, s2)
-                        if cyclic:
-                            break
-        if cyclic:
-            break
-        pi = rcv_pair.get(a)
-        if pi is not None:
-            table = pairs_by_ch[ch_of[a]]
-            s1, r1 = table[pi]
-            for s2, r2 in table:
-                if r2 != r1 and (s1, s2) not in added and q(r1, r2):
-                    add_edge(s1, s2)
-                    if cyclic:
-                        break
+        ch = ch_of[a]
+        # Rules 1 and 4, on the earliest partner per thread only.
+        r1 = rcv_of.get(a)
+        if r1 is not None:
+            for s2 in partners(a, snd_tab[ch]):
+                derive(r1, rcv_of[s2])
+            for s2 in partners(a, cap1_tab.get(ch, ())):
+                derive(r1, s2)
+        s1 = snd_of.get(a)
+        if s1 is not None:
+            for r2 in partners(a, rcv_tab[ch]):
+                derive(s1, snd_of[r2])
         if cyclic:
             break
         # Rule 3 forward: snd ≺ e implies rcv ≺ e.
@@ -255,14 +256,7 @@ def saturate(
                     break
                 push(p)
 
-    order = SaturatedOrder(
-        threads=threads,
-        cyclic=cyclic,
-        index=index,
-        thr_of=thr_of,
-        pos_of=pos_of,
-        succ=succ,
-    )
+    order = SaturatedOrder(threads, cyclic, index, thr_of, pos_of, succ)
     if not cyclic:
         order.pred_counts = _pred_counts(x, threads, index, thr_of, pos_of, succ)
     return order

@@ -24,16 +24,22 @@ FIXTURES = Path(__file__).resolve().parent.parent / "instances"
 CAP_MENU = (0.0, 1.0, 2.0, INF)
 
 
-def rand_instance(rng: random.Random, with_rf: bool, n_max: int = 8) -> Instance:
+def rand_instance(
+    rng: random.Random,
+    with_rf: bool,
+    n_max: int = 8,
+    t_max: int = 3,
+    caps: tuple[float, ...] = CAP_MENU,
+) -> Instance:
     """An arbitrary (not necessarily consistent) small instance.
 
     Valued events when ``with_rf`` is false; valueless events plus a random
     injective reads-from otherwise.
     """
-    t = rng.randint(1, 3)
+    t = rng.randint(1, t_max)
     m = rng.randint(1, 3)
     n = rng.randint(0, n_max)
-    cap = {f"ch{i}": rng.choice(CAP_MENU) for i in range(1, m + 1)}
+    cap = {f"ch{i}": rng.choice(caps) for i in range(1, m + 1)}
     events = []
     for i in range(1, n + 1):
         events.append(
@@ -61,6 +67,28 @@ def rand_instance(rng: random.Random, with_rf: bool, n_max: int = 8) -> Instance
                 if rng.random() < 0.9:
                     pairs.append((s, r))
         rf = tuple(sorted(pairs))
+    return make_instance("abstract", events, cap, rf)
+
+
+def token_ring(rounds: int, caps: tuple[float, ...], swap: int | None = None) -> Instance:
+    """Thread i sends on channel i to thread i+1, one token going round.
+
+    Consistent under every capacity.  With ``swap = j`` the first two messages
+    on channel j trade receives (a FIFO swap: both sends share a thread and
+    both receives share a thread), which is inconsistent for every capacity.
+    """
+    t = len(caps)
+    events, rf = [], []
+    for _ in range(rounds):
+        for i in range(t):
+            s = len(events) + 1
+            events.append(Event(s, f"t{i}", "snd", f"c{i}"))
+            events.append(Event(s + 1, f"t{(i + 1) % t}", "rcv", f"c{i}"))
+            rf.append((s, s + 1))
+    if swap is not None:
+        (s1, r1), (s2, r2) = rf[swap], rf[t + swap]
+        rf[swap], rf[t + swap] = (s1, r2), (s2, r1)
+    cap = {f"c{i}": c for i, c in enumerate(caps)}
     return make_instance("abstract", events, cap, rf)
 
 

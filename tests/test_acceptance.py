@@ -47,7 +47,7 @@ from chanlin.generators import (
     mutate_rf,
     random_positive,
 )
-from .conftest import assert_valid_witness, rand_instance
+from .conftest import assert_valid_witness, rand_instance, token_ring
 from .test_generators import (
     has_hamiltonian_cycle,
     has_orthogonal_pair,
@@ -250,6 +250,16 @@ class TestCriterion5SaturationScaling:
         assert v.consistent
         assert v.explored == inst.n + 1
         assert elapsed < 10
+
+    def test_two_thousand_event_token_ring(self):
+        inst = token_ring(250, (0.0, 1.0, 2.0, INF))
+        assert inst.n == 2000
+        t0 = time.monotonic()
+        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        elapsed = time.monotonic() - t0
+        assert v.consistent
+        assert v.explored == inst.n + 1
+        assert elapsed < 4
 
 
 class TestCriterion6MutationStatistics:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import defaultdict
 
 from chanlin import (
+    INF,
     ChannelClass,
     Event,
     classify_channels,
@@ -13,7 +15,7 @@ from chanlin import (
     saturate,
     solve_vchrf_saturated,
 )
-from .conftest import rand_instance
+from .conftest import CAP_MENU, rand_instance, token_ring
 
 
 def naive_saturation(x, cap, rf):
@@ -88,21 +90,65 @@ def naive_saturation(x, cap, rf):
     return cyclic, rel
 
 
+def assert_matches_naive(inst) -> bool:
+    """``saturate`` agrees with the naive fixpoint on cyclicity and on every
+    ordered pair; returns whether the instance is cyclic."""
+    x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+    order = saturate(x, cap, rf)
+    cyclic, rel = naive_saturation(x, cap, rf)
+    assert order.cyclic == cyclic
+    if not cyclic:
+        for e in x.by_id:
+            for f in x.by_id:
+                if e != f:
+                    assert order.query(e, f) == ((e, f) in rel), (e, f)
+    return cyclic
+
+
 class TestAgainstNaiveFixpoint:
     def test_random_instances(self):
         rng = random.Random(7)
         for _ in range(120):
-            inst = rand_instance(rng, with_rf=True, n_max=7)
-            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-            order = saturate(x, cap, rf)
-            cyclic, rel = naive_saturation(x, cap, rf)
-            assert order.cyclic == cyclic
-            if cyclic:
-                continue
-            for e in x.by_id:
-                for f in x.by_id:
-                    if e != f:
-                        assert order.query(e, f) == ((e, f) in rel), (e, f)
+            assert_matches_naive(rand_instance(rng, with_rf=True, n_max=7))
+
+    def test_partners_sharing_a_thread(self):
+        # Up to 12 events over up to 4 threads, so one thread often holds
+        # several partners of a rule 1 or rule 4 trigger; capacity 3 included.
+        rng = random.Random(11)
+        caps = (0.0, 1.0, 2.0, 3.0, INF)
+        insts = [rand_instance(rng, True, n_max=12, t_max=4, caps=caps) for _ in range(300)]
+        cyclic = sum(assert_matches_naive(inst) for inst in insts)
+        assert 0 < cyclic < len(insts)
+
+    def test_token_rings_every_capacity_layout(self):
+        # Two rounds of a four-thread ring: each thread holds two sends and
+        # two receives of its channels.  The FIFO-swap twin must be cyclic.
+        for i, caps in enumerate(itertools.product(CAP_MENU, repeat=4)):
+            assert not assert_matches_naive(token_ring(2, caps))
+            assert assert_matches_naive(token_ring(2, caps, swap=i % 4))
+
+    def test_order_reaches_later_partner_through_chain(self):
+        # s1 ≺ s2 ≺po s3 on channel c, s2 and s3 in one thread, receives in
+        # three other threads.  Rule 1 fires on the earliest partner s2 only,
+        # so r1 ≺ r3 follows from r1 ≺ r2 and r2 ≺ r3 (rule 1 on s2 ≺po s3).
+        events = [
+            Event(1, "t1", "snd", "c"),  # s1
+            Event(2, "t1", "snd", "d"),
+            Event(3, "t2", "rcv", "d"),
+            Event(4, "t2", "snd", "c"),  # s2
+            Event(5, "t2", "snd", "c"),  # s3
+            Event(6, "t3", "rcv", "c"),  # r1
+            Event(7, "t4", "rcv", "c"),  # r2
+            Event(8, "t5", "rcv", "c"),  # r3
+        ]
+        rf = [(1, 6), (2, 3), (4, 7), (5, 8)]
+        inst = make_instance("abstract", events, {"c": INF, "d": 0.0}, rf)
+        order = saturate(inst.abstract, inst.cap_map, inst.rf)
+        assert not order.cyclic
+        assert order.query(6, 7) and order.query(7, 8) and order.query(6, 8)
+        assert not order.query(8, 6)
+        assert order.pred_counts[order.index[8]] == (2, 3, 1, 1, 0)
+        assert not assert_matches_naive(inst)
 
     def test_pred_counts_match_predecessor_sets(self):
         rng = random.Random(8)
