@@ -94,7 +94,20 @@ def _dispatch(inst: Instance, algo: str, saturation: bool) -> tuple[Verdict, str
     return solve_vchrf(x, cap, rf), "frontier-rf"
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an unexpected exception in any command exits 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception:  # a crash must never read as "inconsistent"
+            sys.excepthook(*sys.exc_info())  # the usual traceback, on stderr
+            _fail("internal error")
+
+
+@click.group(cls=_Main)
 @click.version_option()
 def main() -> None:
     """Consistency checking of message-passing executions over FIFO channels."""
@@ -123,20 +136,19 @@ def check(input: str, algo: str, no_saturation: bool, witness: str | None) -> No
         _fail(f"algorithm refused: {exc}")
     except ValueError as exc:
         _fail(str(exc))
-    except Exception:  # a crash must never read as "inconsistent"
-        sys.excepthook(*sys.exc_info())  # the usual traceback, on stderr
-        _fail("internal error")
-    click.echo(f"result: {verdict.outcome}")
-    click.echo(f"algorithm: {used}")
-    click.echo(f"explored: {verdict.explored}")
-    if verdict.reason:
-        click.echo(f"reason: {verdict.reason}")
-    if verdict.consistent and witness:
+    write_witness = verdict.consistent and witness
+    if write_witness:  # before any result line, so that a failure exits 2 alone
         by_id = inst.by_id
         events = [by_id[eid] for eid in verdict.witness or ()]
         trace = make_instance("trace", events, inst.cap_map)
         with open(witness, "w", encoding="utf-8") as fh:
             fh.write(serialize_instance(trace))
+    click.echo(f"result: {verdict.outcome}")
+    click.echo(f"algorithm: {used}")
+    click.echo(f"explored: {verdict.explored}")
+    if verdict.reason:
+        click.echo(f"reason: {verdict.reason}")
+    if write_witness:
         click.echo(f"witness: {witness}")
     sys.exit(0 if verdict.consistent else 1)
 

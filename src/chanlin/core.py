@@ -59,7 +59,10 @@ class AbstractExecution:
     """An event set plus per-thread total orders (program order).
 
     ``events`` is kept in canonical order: threads sorted by token, events of
-    each thread in program order.
+    each thread in program order.  The dense index (``index``, ``thr_of``,
+    ``pos_of``, ``start``) numbers the events 0..n-1 in that order, derived
+    from ``threads`` and ``po``: one thread's events are consecutive and
+    ordered by po.
     """
 
     events: tuple[Event, ...]
@@ -82,6 +85,27 @@ class AbstractExecution:
     @cached_property
     def channels(self) -> tuple[str, ...]:
         return tuple(sorted({e.channel for e in self.events}))
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Dense index of every event id; iterating it yields ids in dense order."""
+        return {eid: i for i, eid in enumerate(eid for th in self.threads for eid in self.po[th])}
+
+    @cached_property
+    def thr_of(self) -> list[int]:
+        """Position in ``threads`` of the event with each dense index."""
+        return [ti for ti, th in enumerate(self.threads) for _ in self.po[th]]
+
+    @cached_property
+    def pos_of(self) -> list[int]:
+        """Program-order position in its thread of the event with each dense index."""
+        return [p for th in self.threads for p in range(len(self.po[th]))]
+
+    @cached_property
+    def start(self) -> list[int]:
+        """Dense index of each thread's first event: position ``p`` of thread
+        ``threads[ti]`` has dense index ``start[ti] + p``."""
+        return [self.index[self.po[th][0]] for th in self.threads]
 
     @property
     def n(self) -> int:
@@ -173,12 +197,14 @@ class Instance:
     def cap_map(self) -> dict[str, float]:
         return dict(self.cap)
 
-    @cached_property
+    @property
     def by_id(self) -> dict[int, Event]:
-        return {e.id: e for e in self.events}
+        return self.abstract.by_id
 
     @cached_property
     def abstract(self) -> AbstractExecution:
+        if self.kind == "abstract":  # already canonical
+            return AbstractExecution(events=self.events)
         return AbstractExecution(events=_canonical_abstract_order(self.events))
 
     @property
@@ -214,7 +240,8 @@ def make_instance(
     cap: Mapping[str, float],
     rf: Iterable[tuple[int, int]] | None = None,
 ) -> Instance:
-    """Canonicalize and validate an instance built in memory."""
+    """Canonicalize and validate an instance, in memory or parsed: the only
+    structural validator."""
     if kind not in ("abstract", "trace"):
         raise ValidationError(f"unknown kind {kind!r}")
     evs = tuple(events) if kind == "trace" else _canonical_abstract_order(events)
@@ -240,7 +267,7 @@ def validate_instance(inst: Instance) -> None:
         if e.id < 0:
             raise ValidationError(f"event {e.id}: negative id")
         if e.channel not in inst.cap_map:
-            raise ValidationError(f"event {e.id}: channel {e.channel!r} has no capacity entry")
+            raise ValidationError(f"event {e.id}: channel {e.channel!r} has no capacity line")
     for ch, c in inst.cap:
         if c != INF and (c != int(c) or c < 0):
             raise ValidationError(f"channel {ch!r}: bad capacity {c!r}")
@@ -346,7 +373,6 @@ def parse_instance(text: str) -> Instance:
     cap: dict[str, float] = {}
     events: list[Event] = []
     rf: list[tuple[int, int]] | None = None
-    seen_ids: set[int] = set()
     header_seen = False
 
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -378,15 +404,6 @@ def parse_instance(text: str) -> Instance:
                 eid = int(tokens[1])
             except ValueError:
                 raise ParseError(f"line {ln}: bad event id {tokens[1]!r}") from None
-            if eid < 0:
-                raise ParseError(f"line {ln}: negative event id")
-            if eid in seen_ids:
-                raise ParseError(f"line {ln}: duplicate event id {eid}")
-            seen_ids.add(eid)
-            if tokens[3] not in (SND, RCV):
-                raise ParseError(f"line {ln}: bad op {tokens[3]!r}")
-            if tokens[4] not in cap:
-                raise ParseError(f"line {ln}: channel {tokens[4]!r} has no capacity line")
             events.append(
                 Event(
                     id=eid,

@@ -4,25 +4,28 @@
   a send-receive graph whose acyclicity characterizes consistency.
 * :func:`solve_acyclic` — acyclic communication topology with channels that
   are synchronous, capacity-1, or effectively unbounded: the instance is
-  projected onto every pair of communicating threads and each projection is
-  decided by a 2SAT encoding.
+  projected onto every pair of communicating threads, and onto each thread
+  with its private channels, and each projection is decided by a 2SAT
+  encoding (in a single-thread projection every literal is a po constant).
 * :func:`solve_2sat` — implication-graph strongly-connected-components 2SAT.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .core import (
     CONSISTENT,
     INCONSISTENT,
-    RCV,
     SND,
     AbstractExecution,
     AlgorithmRefused,
     ChannelClass,
+    Event,
     Verdict,
     classify_channels,
     communication_topology,
@@ -258,37 +261,37 @@ def encode_2sat(
             raise AlgorithmRefused(f"channel {ch!r} has capacity {cl.bound} >= 2")
 
     by_id = x.by_id
-    pos: dict[int, int] = {}
-    thr: dict[int, str] = {}
-    pred: dict[int, int | None] = {}
-    succ: dict[int, int | None] = {}
-    for th in x.threads:
-        seq = x.po[th]
-        for p, eid in enumerate(seq):
-            pos[eid] = p
-            thr[eid] = th
-            pred[eid] = seq[p - 1] if p > 0 else None
-            succ[eid] = seq[p + 1] if p + 1 < len(seq) else None
+    index, thr_of, pos_of = x.index, x.thr_of, x.pos_of
+    ids = list(index)  # event ids in dense order
+
+    def pred(e: int) -> int | None:
+        """The immediate po predecessor of e, if any."""
+        i = index[e]
+        return ids[i - 1] if pos_of[i] > 0 else None
+
+    def succ(e: int) -> int | None:
+        """The immediate po successor of e, if any."""
+        i = index[e] + 1
+        return ids[i] if i < len(ids) and pos_of[i] > 0 else None
 
     f = TwoSatFormula()
 
     def lit(e: int, g: int):
         """Literal asserting event e is ordered before event g."""
-        if thr[e] == thr[g]:
-            return TRUE if pos[e] < pos[g] else FALSE
+        i, j = index[e], index[g]
+        if thr_of[i] == thr_of[j]:
+            return TRUE if i < j else FALSE
         v = f.var_of.get((e, g))
         if v is None:
             v = f.new_var()
             f.var_of[(e, g)] = v
         return v
 
-    ids = [e.id for e in x.events]
-    cross = [
-        (a, b)
-        for i, a in enumerate(ids)
-        for b in ids[i + 1 :]
-        if thr[a] != thr[b]
-    ]
+    # Dense order is thread-major: each cross pair is (first thread's event,
+    # second thread's event).  A single-thread instance has none, and every
+    # literal below folds to a po constant.
+    k = x.start[1] if len(x.threads) == 2 else x.n
+    cross = [(a, b) for a in ids[:k] for b in ids[k:]]
     # Mutual exclusion and totality over each unordered cross pair.
     for a, b in cross:
         f.add(-lit(a, b), -lit(b, a))
@@ -324,10 +327,10 @@ def encode_2sat(
     for a, b in cross:
         for e, g in ((a, b), (b, a)):
             l = lit(e, g)
-            p = pred[e]
+            p = pred(e)
             if p is not None:
                 f.add(_neg(l), lit(p, g))
-            s2 = succ[g]
+            s2 = succ(g)
             if s2 is not None:
                 f.add(_neg(l), lit(e, s2))
 
@@ -350,10 +353,10 @@ def encode_2sat(
     for ch, table in pairs_by_ch.items():
         if classes[ch].kind == ChannelClass.SYNC:
             for e, r in table:
-                e2 = succ[e]
+                e2 = succ(e)
                 if e2 is not None:
                     f.add(lit(r, e2))
-                f2 = pred[r]
+                f2 = pred(r)
                 if f2 is not None:
                     f.add(lit(f2, e))
     return f
@@ -379,13 +382,15 @@ def solve_acyclic(
 ) -> Verdict:
     """Compositional solver for acyclic communication topologies.
 
-    Projects the instance onto every pair of communicating threads (events of
-    the two threads on channels they share, program order as the induced
-    subsequence) and decides each projection by 2SAT; channels accessed by a
-    single thread are validated by a direct replay of that thread's program
-    order.  Consistent iff all subproblems pass; the witness is a global
-    topological sort of program order plus all true pair orderings, with
-    synchronous rf pairs contracted into atomic blocks.
+    Groups the channels by the threads that use them.  In an acyclic topology
+    no channel has three users, so each group is either the channels of one
+    topology edge or the private channels of one thread.  Each group's
+    projection (its events, program order as the induced subsequence) is
+    decided by one 2SAT encoding; in a single-thread projection every literal
+    folds to a po constant, which checks the FIFO and capacity rules along
+    program order.  Consistent iff all projections pass; the witness is a
+    global topological sort of program order plus all true pair orderings,
+    with synchronous rf pairs contracted into atomic blocks.
     """
     classes = classify_channels(x, cap)
     for ch in {e.channel for e in x.events}:
@@ -399,136 +404,52 @@ def solve_acyclic(
     bad = rf_defect(x, cap, rf)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
-    by_rcv = {r: s for s, r in rf}
 
-    # Channels accessed by a single thread (never synchronous once rf_defect
-    # has passed): replay po directly.
-    for ch, th in topo.private_channels:
-        verdict = _replay_private(x, cap, classes, by_rcv, ch, th)
-        if verdict is not None:
-            return verdict
+    accessors: dict[str, set[str]] = defaultdict(set)
+    for e in x.events:
+        accessors[e.channel].add(e.thread)
+    group = {ch: tuple(sorted(ts)) for ch, ts in accessors.items()}
+    sub_events: dict[tuple[str, ...], list[Event]] = defaultdict(list)
+    for e in x.events:
+        sub_events[group[e.channel]].append(e)
+    sub_rf: dict[tuple[str, ...], list[tuple[int, int]]] = defaultdict(list)
+    for s, r in rf:  # rf_defect has put both ends on one channel
+        sub_rf[group[x.by_id[s].channel]].append((s, r))
 
-    # One 2SAT subproblem per topology edge.
+    # Single-thread projections first, then the topology edges in order.
     orderings: list[tuple[int, int]] = []
-    accessors = _shared_channels(x)
-    for t1, t2 in topo.edges:
-        shared = [ch for ch, ts in accessors.items() if ts == {t1, t2}]
-        keep = {
-            e.id
-            for e in x.events
-            if e.thread in (t1, t2) and e.channel in shared
-        }
-        sub_events = [e for e in x.events if e.id in keep]
-        sub = AbstractExecution(events=tuple(sub_events))
-        sub_rf = tuple((s, r) for s, r in rf if s in keep and r in keep)
-        formula = encode_2sat(sub, cap, sub_rf)
+    for ts in sorted(sub_events, key=lambda ts: (len(ts), ts)):
+        sub = AbstractExecution(events=tuple(sub_events[ts]))
+        formula = encode_2sat(sub, cap, tuple(sub_rf[ts]))
         assign = solve_2sat(formula)
         if assign is None:
-            return Verdict(INCONSISTENT, reason=f"projection ({t1},{t2}) unsatisfiable")
-        for (e, g), v in formula.var_of.items():
-            if assign[v]:
-                orderings.append((e, g))
+            reason = f"projection ({','.join(ts)}) unsatisfiable"
+            if len(ts) == 1:
+                private = sorted(ch for ch, g in group.items() if g == ts)
+                reason += f" on private channels {', '.join(private)}"
+            return Verdict(INCONSISTENT, reason=reason)
+        orderings.extend(eg for eg, v in formula.var_of.items() if assign[v])
 
-    witness = _assemble_witness(x, by_rcv, classes, orderings)
+    witness = _assemble_witness(x, rf, classes, orderings)
     return Verdict(CONSISTENT, witness=witness)
-
-
-def _shared_channels(x: AbstractExecution) -> dict[str, set[str]]:
-    accessors: dict[str, set[str]] = {}
-    for e in x.events:
-        accessors.setdefault(e.channel, set()).add(e.thread)
-    return {ch: ts for ch, ts in accessors.items() if len(ts) >= 2}
-
-
-def _replay_private(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    classes: Mapping[str, ChannelClass],
-    by_rcv: Mapping[int, int],
-    ch: str,
-    th: str,
-) -> Verdict | None:
-    """Validate a single-thread asynchronous channel; po totally orders its events."""
-    queue: list[int] = []
-    bounded = classes[ch].kind == ChannelClass.BOUNDED
-    for eid in x.po[th]:
-        e = x.by_id[eid]
-        if e.channel != ch:
-            continue
-        if e.op == SND:
-            if bounded and len(queue) >= (classes[ch].bound or 0):
-                return Verdict(INCONSISTENT, reason=f"capacity exceeded on {ch!r}")
-            queue.append(eid)
-        else:
-            if not queue or queue[0] != by_rcv.get(eid):
-                return Verdict(INCONSISTENT, reason=f"FIFO order violated on {ch!r}")
-            queue.pop(0)
-    return None
 
 
 def _assemble_witness(
     x: AbstractExecution,
-    by_rcv: Mapping[int, int],
+    rf: Sequence[tuple[int, int]],
     classes: Mapping[str, ChannelClass],
     orderings: Sequence[tuple[int, int]],
 ) -> tuple[int, ...]:
     """Topologically sort po plus pair orderings; synchronous rf pairs are
-    contracted so the snd·rcv adjacency survives; ties by thread token."""
-    block_of: dict[int, int] = {}
-    blocks: list[tuple[int, ...]] = []
-    for e in x.events:
-        if e.id in block_of:
-            continue
-        if (
-            e.op == RCV
-            and e.id in by_rcv
-            and classes[e.channel].kind == ChannelClass.SYNC
-        ):
-            s = by_rcv[e.id]
-            bi = len(blocks)
-            blocks.append((s, e.id))
-            block_of[s] = bi
-            block_of[e.id] = bi
-    for e in x.events:
-        if e.id not in block_of:
-            bi = len(blocks)
-            blocks.append((e.id,))
-            block_of[e.id] = bi
-
-    nb = len(blocks)
-    adj: list[set[int]] = [set() for _ in range(nb)]
-    indeg = [0] * nb
-
-    def add_edge(a: int, b: int) -> None:
-        u, v = block_of[a], block_of[b]
-        if u != v and v not in adj[u]:
-            adj[u].add(v)
-            indeg[v] += 1
-
-    for th in x.threads:
-        seq = x.po[th]
-        for p in range(len(seq) - 1):
-            add_edge(seq[p], seq[p + 1])
-    for a, b in orderings:
-        add_edge(a, b)
-
-    # Priority: (thread token, po position) of the block's first event.
-    pos = {eid: i for th in x.threads for i, eid in enumerate(x.po[th])}
-
-    def prio(bi: int) -> tuple[str, int]:
-        first = blocks[bi][0]
-        return (x.by_id[first].thread, pos[first])
-
-    heap = [(prio(bi), bi) for bi in range(nb) if indeg[bi] == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    while heap:
-        _, bi = heapq.heappop(heap)
-        out.extend(blocks[bi])
-        for v in adj[bi]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, (prio(v), v))
-    if len(out) != x.n:
+    contracted so the snd·rcv adjacency survives.  Blocks are numbered in the
+    dense order of their first event, so ties go by (thread token, po)."""
+    glue = {s: r for s, r in rf if classes[x.by_id[s].channel].kind == ChannelClass.SYNC}
+    glued = set(glue.values())
+    blocks = [(e, glue[e]) if e in glue else (e,) for e in x.index if e not in glued]
+    block_of = {e: bi for bi, block in enumerate(blocks) for e in block}
+    po_edges = (ab for seq in x.po.values() for ab in zip(seq, seq[1:]))
+    edges = [(block_of[a], block_of[b]) for a, b in chain(po_edges, orderings)]
+    order = _topo_sort(len(blocks), [(u, v) for u, v in edges if u != v])
+    if order is None:
         raise AlgorithmRefused("witness assembly failed to linearize")
-    return tuple(out)
+    return tuple(e for bi in order for e in blocks[bi])

@@ -118,8 +118,9 @@ def _search(
         tag = {e.id: e.id if e.op == SND else src_of.get(e.id) for e in x.events}
     else:
         tag = {e.id: e.value for e in x.events}
+    index, thr_of = x.index, x.thr_of
     sync_of = {
-        e.id: (e.channel, threads.index(e.thread))
+        e.id: (e.channel, thr_of[index[e.id]])
         for e in x.events
         if e.op == SND and cap[e.channel] == 0
     }
@@ -136,7 +137,7 @@ def _search(
                 ch_index.get(e.channel, -1),
                 cap[e.channel],
                 tag[e.id],
-                order.pred_counts[order.index[e.id]]
+                order.pred_counts[index[e.id]]
                 if order is not None and (e.op == SND or cap[e.channel] == 0)
                 else None,
             )

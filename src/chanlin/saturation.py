@@ -24,10 +24,12 @@ A cycle in the saturated order certifies inconsistency; otherwise every
 concretization must respect the order, which licenses aggressive pruning of
 the frontier search.
 
-Representation: for every event ``e`` and thread ``τ`` we keep the minimal
-program-order position in ``τ`` of any known successor of ``e``.  Because the
-order is transitive and contains po, successor sets are upward closed along
-each thread, so the minimum is exact and ordering queries are O(1).
+Representation: events are numbered by the execution's dense index
+(``AbstractExecution.index``: thread token, then po position), and for every
+event ``e`` and thread ``τ`` we keep the minimal program-order position in
+``τ`` of any known successor of ``e``.  Because the order is transitive and
+contains po, successor sets are upward closed along each thread, so the
+minimum is exact and ordering queries are O(1).
 """
 
 from __future__ import annotations
@@ -87,19 +89,7 @@ def saturate(
     threads = x.threads
     t = len(threads)
     n = x.n
-
-    index: dict[int, int] = {}
-    ids: list[int] = []
-    thr_of: list[int] = []
-    pos_of: list[int] = []
-    start: list[int] = []
-    for ti, th in enumerate(threads):
-        start.append(len(ids))
-        for p, eid in enumerate(x.po[th]):
-            index[eid] = len(ids)
-            ids.append(eid)
-            thr_of.append(ti)
-            pos_of.append(p)
+    index, thr_of, pos_of, start = x.index, x.thr_of, x.pos_of, x.start
 
     big = n + 1  # sentinel: larger than any po position
     succ: list[list[int]] = [[big] * t for _ in range(n)]
@@ -139,7 +129,7 @@ def saturate(
     # Partner tables: per channel and thread, the sorted po positions of the
     # matched sends, of the matched receives and, on capacity-1 channels, of
     # all sends.  The event at position p of thread ti has index start[ti] + p.
-    ch_of = [by_id[eid].channel for eid in ids]
+    ch_of = [by_id[eid].channel for eid in index]
 
     def positions(idxs) -> dict[str, list[list[int]]]:
         tab: dict[str, list[list[int]]] = {}
@@ -258,27 +248,20 @@ def saturate(
 
     order = SaturatedOrder(threads, cyclic, index, thr_of, pos_of, succ)
     if not cyclic:
-        order.pred_counts = _pred_counts(x, threads, index, thr_of, pos_of, succ)
+        order.pred_counts = _pred_counts(x, succ)
     return order
 
 
-def _pred_counts(
-    x: AbstractExecution,
-    threads: tuple[str, ...],
-    index: dict[int, int],
-    thr_of: list[int],
-    pos_of: list[int],
-    succ: list[list[int]],
-) -> list[tuple[int, ...]]:
+def _pred_counts(x: AbstractExecution, succ: list[list[int]]) -> list[tuple[int, ...]]:
     """For each event, the per-thread count of saturated predecessors.
 
     Along a thread, minimal-successor indices are monotone, so for a target
     thread the set of source-thread events preceding position ``q`` is a
     prefix; a two-pointer sweep per thread pair computes all thresholds.
     """
-    t = len(threads)
-    seqs = [[index[eid] for eid in x.po[th]] for th in threads]
-    counts: list[list[int]] = [[0] * t for _ in range(len(thr_of))]
+    t = len(x.threads)
+    seqs = [range(s, s + len(x.po[th])) for s, th in zip(x.start, x.threads)]
+    counts: list[list[int]] = [[0] * t for _ in range(x.n)]
     for target_ti in range(t):
         tgt = seqs[target_ti]
         for src_ti in range(t):

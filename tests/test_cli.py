@@ -77,6 +77,30 @@ class TestCheck:
         assert "RecursionError" in r.stderr
         assert "result:" not in r.stdout
 
+    def test_unwritable_witness_exit_two(self, fixtures, tmp_path):
+        w = tmp_path / "missing" / "w.vchk"
+        r = run("check", fixtures / "two_thread_cap1_positive.vchk", "--witness", w)
+        assert r.exit_code == 2
+        assert "FileNotFoundError" in r.stderr
+        assert "result:" not in r.stdout
+
+    @pytest.mark.parametrize(
+        "name, witness, code",
+        [
+            ("two_thread_cap1_positive.vchk", None, 0),
+            ("two_thread_cap1_negative_rf.vchk", None, 1),
+            ("no_such_file.vchk", None, 2),
+            ("two_thread_cap1_positive.vchk", "missing/w.vchk", 2),
+        ],
+    )
+    def test_exit_codes_without_standalone_mode(self, fixtures, tmp_path, name, witness, code):
+        args = ["check", str(fixtures / name)]
+        if witness:
+            args += ["--witness", str(tmp_path / witness)]
+        with pytest.raises(SystemExit) as exc:
+            main(args, standalone_mode=False)
+        assert exc.value.code == code
+
     def test_no_saturation_flag(self, fixtures):
         r = run("check", fixtures / "two_thread_cap1_negative_rf.vchk", "--algo", "frontier-rf", "--no-saturation")
         assert r.exit_code == 1
@@ -122,6 +146,11 @@ class TestGenerate:
     def test_usage_error(self):
         r = run("generate")
         assert r.exit_code == 2
+
+    def test_unwritable_output_exit_two(self, tmp_path):
+        r = run("generate", "random", "--output", tmp_path / "missing" / "x.vchk")
+        assert r.exit_code == 2
+        assert "FileNotFoundError" in r.stderr
 
 
 class TestMutate:

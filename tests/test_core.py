@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chanlin import (
     INF,
+    AbstractExecution,
     ChannelClass,
     Event,
     Ok,
@@ -135,6 +136,57 @@ class TestValidation:
         events = [Event(1, "t", "snd", "c", "1"), Event(2, "t", "rcv", "c", "2")]
         with pytest.raises(ValidationError, match="values"):
             make_instance("abstract", events, {"c": INF}, [(1, 2)])
+
+    @pytest.mark.parametrize(
+        "event, match",
+        [
+            (Event(1, "u", "rcv", "c"), "duplicate event id 1"),
+            (Event(-2, "u", "rcv", "c"), "negative id"),
+            (Event(2, "u", "recv", "c"), "bad op"),
+            (Event(2, "u", "rcv", "d"), "channel 'd' has no capacity line"),
+        ],
+    )
+    def test_event_rules(self, event, match):
+        events = [Event(1, "t", "snd", "c"), event]
+        with pytest.raises(ValidationError, match=match):
+            make_instance("abstract", events, {"c": INF})
+
+
+def assert_dense_index(x):
+    """index, thr_of, pos_of and start agree with threads and po."""
+    dense = [(ti, p, eid) for ti, th in enumerate(x.threads) for p, eid in enumerate(x.po[th])]
+    assert list(x.index) == [eid for _, _, eid in dense]
+    assert [x.index[eid] for _, _, eid in dense] == list(range(x.n))
+    assert x.thr_of == [ti for ti, _, _ in dense]
+    assert x.pos_of == [p for _, p, _ in dense]
+    assert len(x.start) == len(x.threads)
+    for ti, th in enumerate(x.threads):
+        for p, eid in enumerate(x.po[th]):
+            assert x.index[eid] == x.start[ti] + p
+
+
+class TestDenseIndex:
+    def test_random_instances(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            inst = rand_instance(rng, rng.random() < 0.5, n_max=12, t_max=4)
+            assert_dense_index(inst.abstract)
+            assert inst.abstract.events is inst.events
+            assert inst.by_id is inst.abstract.by_id
+
+    def test_events_out_of_canonical_order(self):
+        x = AbstractExecution(
+            events=(
+                Event(5, "t2", "rcv", "c"),
+                Event(1, "t1", "snd", "c"),
+                Event(9, "t3", "snd", "d"),
+                Event(3, "t2", "snd", "d"),
+                Event(2, "t1", "snd", "c"),
+            )
+        )
+        assert_dense_index(x)
+        assert x.index == {1: 0, 2: 1, 5: 2, 3: 3, 9: 4}
+        assert x.start == [0, 2, 4]
 
 
 class TestWellFormedness:

@@ -201,13 +201,24 @@ class TestSolveAcyclic:
         assert not solve_acyclic(inst.abstract, inst.cap_map, inst.rf).consistent
 
     def test_private_async_channel_replay(self):
-        events = [
-            Event(1, "t1", "snd", "c"),
-            Event(2, "t1", "snd", "c"),
-            Event(3, "t1", "rcv", "c"),
+        cases = [
+            # FIFO forces the first send to be received first.
+            ("snd snd rcv", INF, [(1, 3)], True),
+            ("snd snd rcv", INF, [(2, 3)], False),
+            # Capacity 1: the second send finds the slot full.
+            ("snd snd rcv rcv", 1.0, [(1, 3), (2, 4)], False),
+            # Capacity 1: an unmatched send holds the slot for good.
+            ("snd snd", 1.0, [], False),
+            ("snd rcv snd rcv", 1.0, [(1, 2), (3, 4)], True),
         ]
-        # FIFO forces the first send to be received first.
-        good = make_instance("abstract", events, {"c": INF}, [(1, 3)])
-        assert solve_acyclic(good.abstract, good.cap_map, good.rf).consistent
-        bad = make_instance("abstract", events, {"c": INF}, [(2, 3)])
-        assert not solve_acyclic(bad.abstract, bad.cap_map, bad.rf).consistent
+        for ops, cap, rf, consistent in cases:
+            # t2 owns the private channel c and shares d with t1.
+            events = [Event(i, "t2", op, "c") for i, op in enumerate(ops.split(), 1)]
+            events += [Event(8, "t1", "snd", "d"), Event(9, "t2", "rcv", "d")]
+            inst = make_instance("abstract", events, {"c": cap, "d": 1.0}, rf + [(8, 9)])
+            got = solve_acyclic(inst.abstract, inst.cap_map, inst.rf)
+            assert got.consistent == consistent, ops
+            if consistent:
+                assert_valid_witness(inst, got)
+            else:
+                assert got.reason == "projection (t2) unsatisfiable on private channels c"
