@@ -12,6 +12,7 @@ import sys
 
 import click
 
+from . import __version__
 from .core import (
     INF,
     Instance,
@@ -108,7 +109,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option()
+@click.version_option(__version__)
 def main() -> None:
     """Consistency checking of message-passing executions over FIFO channels."""
 

@@ -6,7 +6,9 @@
   are synchronous, capacity-1, or effectively unbounded: the instance is
   projected onto every pair of communicating threads, and onto each thread
   with its private channels, and each projection is decided by a 2SAT
-  encoding (in a single-thread projection every literal is a po constant).
+  encoding with one variable per unordered cross-thread event pair, numbered
+  from the dense index (in a single-thread projection every literal is a po
+  constant, and only po-consecutive sends and rf pairs are compared).
 * :func:`solve_2sat` — implication-graph strongly-connected-components 2SAT.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 from .core import (
@@ -126,14 +128,12 @@ class TwoSatFormula:
     """CNF with at most two literals per clause.
 
     Literals are nonzero ints: ``+v``/``-v`` for variable ``v`` in
-    ``1..nvars``.  ``var_of`` maps ordered event pairs to variables (filled by
-    :func:`encode_2sat`).  ``infeasible`` records that constant folding
-    derived an empty clause.
+    ``1..nvars``.  ``infeasible`` records that constant folding derived an
+    empty clause.
     """
 
     nvars: int = 0
     clauses: list[tuple[int, int]] = field(default_factory=list)
-    var_of: dict[tuple[int, int], int] = field(default_factory=dict)
     infeasible: bool = False
 
     def new_var(self) -> int:
@@ -171,9 +171,6 @@ def solve_2sat(f: TwoSatFormula) -> list[bool] | None:
     def node(lit: int) -> int:
         v = abs(lit) - 1
         return 2 * v + (0 if lit > 0 else 1)
-
-    def neg(u: int) -> int:
-        return u ^ 1
 
     adj: list[list[int]] = [[] for _ in range(size)]
     for a, b in f.clauses:
@@ -239,6 +236,17 @@ def solve_2sat(f: TwoSatFormula) -> list[bool] | None:
 # ---------------------------------------------------------------------------
 
 
+def _classify(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, ChannelClass]:
+    """Classify the channels; refuse the first one, in sorted order, that is
+    bounded with capacity 2 or more."""
+    classes = classify_channels(x, cap)
+    for ch in x.channels:
+        cl = classes[ch]
+        if cl.kind == ChannelClass.BOUNDED and cl.bound != 1:
+            raise AlgorithmRefused(f"channel {ch!r} has capacity {cl.bound} >= 2")
+    return classes
+
+
 def encode_2sat(
     x: AbstractExecution,
     cap: Mapping[str, float],
@@ -247,118 +255,102 @@ def encode_2sat(
     """Encode a ≤2-thread instance whose channels are synchronous, capacity-1,
     or effectively unbounded.
 
-    Variables exist only for ordered cross-thread event pairs; same-thread
-    orderings are program-order constants folded into clauses.  Emits the
-    mutual-exclusion + totality clauses, the rf / matched-before-unmatched /
-    FIFO / transitivity / capacity-1 / synchronous-adjacency subformulae.
+    Same-thread orderings are program-order constants folded into clauses.
+    Each unordered cross-thread pair has one variable, numbered from the dense
+    index: with k = ``x.start[1]`` and w = n − k, the variable ``i·w + (j−k) + 1``
+    says that dense event i of the first thread precedes dense event j of the
+    second (i < k ≤ j), and its negation says that j precedes i.  Clauses: rf,
+    matched sends before unmatched ones, FIFO between pairs, transitivity along
+    po, capacity-1 eviction and synchronous adjacency.
+
+    This is the encoding with two variables per pair, ``a<b`` and ``b<a``, made
+    each other's negation by a mutual-exclusion and a totality clause, with
+    ``b<a := ¬(a<b)`` substituted and duplicate clauses dropped; so it has the
+    same models.  Half of transitivity is such a duplicate: ``(b<a) → (pb<a)``
+    is the clause ``(a<pb) → (a<b)`` of the pair (a, pb), and ``(b<a) → (b<sa)``
+    is the clause ``(sa<b) → (a<b)`` of (sa, b), where p and s name the po
+    predecessor and successor.  Only ``(a<b) → (pa<b)`` and ``(a<b) → (a<sb)``
+    remain, which are variable v implying v − w and v + 1.
+
+    On a channel whose events all lie in one thread every literal is a po
+    constant, and each rule holds iff it holds between po-consecutive sends
+    (matched before unmatched, capacity 1) or po-consecutive rf pairs (FIFO);
+    only those clauses are emitted, so such a channel costs linear time.
     """
     if len(x.threads) > 2:
         raise AlgorithmRefused("2SAT encoding requires at most two threads")
-    classes = classify_channels(x, cap)
-    for ch in {e.channel for e in x.events}:
-        cl = classes[ch]
-        if cl.kind == ChannelClass.BOUNDED and cl.bound != 1:
-            raise AlgorithmRefused(f"channel {ch!r} has capacity {cl.bound} >= 2")
+    classes = _classify(x, cap)
 
-    by_id = x.by_id
-    index, thr_of, pos_of = x.index, x.thr_of, x.pos_of
+    by_id, index, thr_of, pos_of = x.by_id, x.index, x.thr_of, x.pos_of
     ids = list(index)  # event ids in dense order
-
-    def pred(e: int) -> int | None:
-        """The immediate po predecessor of e, if any."""
-        i = index[e]
-        return ids[i - 1] if pos_of[i] > 0 else None
-
-    def succ(e: int) -> int | None:
-        """The immediate po successor of e, if any."""
-        i = index[e] + 1
-        return ids[i] if i < len(ids) and pos_of[i] > 0 else None
-
-    f = TwoSatFormula()
+    n = len(ids)
+    # A single-thread instance has no cross pairs, and every literal below
+    # folds to a po constant.
+    k = x.start[1] if len(x.threads) == 2 else n
+    w = n - k
 
     def lit(e: int, g: int):
         """Literal asserting event e is ordered before event g."""
         i, j = index[e], index[g]
         if thr_of[i] == thr_of[j]:
             return TRUE if i < j else FALSE
-        v = f.var_of.get((e, g))
-        if v is None:
-            v = f.new_var()
-            f.var_of[(e, g)] = v
-        return v
+        return i * w + j - k + 1 if i < j else -(j * w + i - k + 1)
 
-    # Dense order is thread-major: each cross pair is (first thread's event,
-    # second thread's event).  A single-thread instance has none, and every
-    # literal below folds to a po constant.
-    k = x.start[1] if len(x.threads) == 2 else x.n
-    cross = [(a, b) for a in ids[:k] for b in ids[k:]]
-    # Mutual exclusion and totality over each unordered cross pair.
-    for a, b in cross:
-        f.add(-lit(a, b), -lit(b, a))
-        f.add(lit(a, b), lit(b, a))
+    f = TwoSatFormula(nvars=k * w)
+    # Transitivity along po: a<b implies pa<b (i > 0) and a<sb (j < n − 1).
+    f.clauses.extend((-v, v - w) for v in range(w + 1, f.nvars + 1))
+    f.clauses.extend((-v, v + 1) for v in range(1, f.nvars + 1) if v % w)
 
     # Reads-from orderings.
     for s, r in rf:
         f.add(lit(s, r))
 
-    # Matched sends before unmatched sends, per channel; FIFO between pairs.
-    matched_snd = {s for s, _ in rf}
-    pairs_by_ch: dict[str, list[tuple[int, int]]] = {}
-    sends_by_ch: dict[str, list[int]] = {}
-    for e in x.events:
-        if e.op == SND:
-            sends_by_ch.setdefault(e.channel, []).append(e.id)
-    for s, r in sorted(rf):
-        pairs_by_ch.setdefault(by_id[s].channel, []).append((s, r))
-    for ch, sends in sends_by_ch.items():
-        unmatched = [s for s in sends if s not in matched_snd]
-        for m in sends:
-            if m in matched_snd:
-                for u in unmatched:
-                    f.add(lit(m, u))
-    for ch, table in pairs_by_ch.items():
+    rcv_of = dict(rf)
+    sends_by_ch: dict[str, list[int]] = defaultdict(list)
+    users: dict[str, set[str]] = defaultdict(set)
+    for e in ids:
+        ev = by_id[e]
+        users[ev.channel].add(ev.thread)
+        if ev.op == SND:
+            sends_by_ch[ev.channel].append(e)
+    for ch in x.channels:
+        sends = sends_by_ch[ch]  # in dense order, so po-ordered per thread
+        table = [(s, rcv_of[s]) for s in sends if s in rcv_of]
+        private = len(users[ch]) == 1
+        near = 1 if private else n  # how many later sends or pairs to compare
+
+        # Matched sends before unmatched sends; FIFO between pairs.
+        for i, s in enumerate(sends):
+            for s2 in sends[i + 1 : i + 1 + near]:
+                if (s in rcv_of) != (s2 in rcv_of):
+                    f.add(lit(s, s2) if s in rcv_of else lit(s2, s))
         for i, (e, e2) in enumerate(table):
-            for g, g2 in table[i + 1 :]:
+            for g, g2 in table[i + 1 : i + 1 + near]:
                 a, b = lit(e, g), lit(e2, g2)
                 f.add(_neg(a), b)
                 f.add(_neg(b), a)
 
-    # Transitivity via immediate po neighbours.
-    for a, b in cross:
-        for e, g in ((a, b), (b, a)):
-            l = lit(e, g)
-            p = pred(e)
-            if p is not None:
-                f.add(_neg(l), lit(p, g))
-            s2 = succ(g)
-            if s2 is not None:
-                f.add(_neg(l), lit(e, s2))
-
-    # Capacity-1 channels: a later send evicts only after the receive, and at
-    # most one send may stay unmatched (it occupies the slot forever).
-    for ch, sends in sends_by_ch.items():
         cl = classes[ch]
-        if cl.kind == ChannelClass.BOUNDED and cl.bound == 1:
-            if sum(1 for s in sends if s not in matched_snd) > 1:
+        if cl.kind == ChannelClass.BOUNDED:  # capacity 1: _classify refused the rest
+            # At most one send may stay unmatched (it occupies the slot
+            # forever), and a later send evicts only after the receive.
+            if len(sends) - len(table) > 1:
                 f.add(FALSE, FALSE)
-    for ch, table in pairs_by_ch.items():
-        cl = classes[ch]
-        if cl.kind == ChannelClass.BOUNDED and cl.bound == 1:
+            for i, e in enumerate(sends):
+                if e in rcv_of:
+                    later = sends[i + 1 : i + 1 + near]
+                    for e2 in later if private else sends[:i] + later:
+                        f.add(_neg(lit(e, e2)), lit(rcv_of[e], e2))
+        elif cl.kind == ChannelClass.SYNC:
+            # Nothing fits between a synchronous send and its receive: the
+            # receive precedes the send's po successor, and the receive's po
+            # predecessor precedes the send.
             for e, r in table:
-                for e2 in sends_by_ch.get(ch, []):
-                    if e2 != e:
-                        f.add(_neg(lit(e, e2)), lit(r, e2))
-
-    # Synchronous adjacency: nothing fits between a sync send and receive.
-    for ch, table in pairs_by_ch.items():
-        if classes[ch].kind == ChannelClass.SYNC:
-            for e, r in table:
-                e2 = succ(e)
-                if e2 is not None:
-                    f.add(lit(r, e2))
-                f2 = pred(r)
-                if f2 is not None:
-                    f.add(lit(f2, e))
+                i, j = index[e] + 1, index[r]
+                if i < n and pos_of[i] > 0:
+                    f.add(lit(r, ids[i]))
+                if pos_of[j] > 0:
+                    f.add(lit(ids[j - 1], e))
     return f
 
 
@@ -389,14 +381,10 @@ def solve_acyclic(
     decided by one 2SAT encoding; in a single-thread projection every literal
     folds to a po constant, which checks the FIFO and capacity rules along
     program order.  Consistent iff all projections pass; the witness is a
-    global topological sort of program order plus all true pair orderings,
-    with synchronous rf pairs contracted into atomic blocks.
+    global topological sort of program order plus all pair orderings that the
+    2SAT models chose, with synchronous rf pairs contracted into atomic blocks.
     """
-    classes = classify_channels(x, cap)
-    for ch in {e.channel for e in x.events}:
-        cl = classes[ch]
-        if cl.kind == ChannelClass.BOUNDED and cl.bound != 1:
-            raise AlgorithmRefused(f"channel {ch!r} has capacity {cl.bound} >= 2")
+    classes = _classify(x, cap)
     topo = communication_topology(x)
     if not topo.acyclic:
         raise AlgorithmRefused("communication topology is cyclic")
@@ -420,15 +408,17 @@ def solve_acyclic(
     orderings: list[tuple[int, int]] = []
     for ts in sorted(sub_events, key=lambda ts: (len(ts), ts)):
         sub = AbstractExecution(events=tuple(sub_events[ts]))
-        formula = encode_2sat(sub, cap, tuple(sub_rf[ts]))
-        assign = solve_2sat(formula)
+        assign = solve_2sat(encode_2sat(sub, cap, tuple(sub_rf[ts])))
         if assign is None:
             reason = f"projection ({','.join(ts)}) unsatisfiable"
             if len(ts) == 1:
                 private = sorted(ch for ch, g in group.items() if g == ts)
                 reason += f" on private channels {', '.join(private)}"
             return Verdict(INCONSISTENT, reason=reason)
-        orderings.extend(eg for eg, v in formula.var_of.items() if assign[v])
+        if len(ts) == 2:  # variable i·w + (j−k) + 1 orders dense events i < k ≤ j
+            ids, k = list(sub.index), sub.start[1]
+            pairs = enumerate(product(ids[:k], ids[k:]), 1)
+            orderings.extend((a, b) if assign[v] else (b, a) for v, (a, b) in pairs)
 
     witness = _assemble_witness(x, rf, classes, orderings)
     return Verdict(CONSISTENT, witness=witness)

@@ -106,6 +106,11 @@ class TestCheck:
         assert r.exit_code == 1
         assert "algorithm: frontier-rf" in r.output
 
+    def test_version_from_source(self):
+        r = run("--version")
+        assert r.exit_code == 0
+        assert "0.1.0" in r.stdout
+
 
 class TestGenerate:
     def test_random_deterministic(self, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import defaultdict
 
 import pytest
@@ -15,12 +16,14 @@ from chanlin import (
     TwoSatFormula,
     brute_force,
     build_send_receive_graph,
+    encode_2sat,
     make_instance,
     parse_instance,
     solve_2sat,
     solve_acyclic,
     solve_sync,
 )
+from chanlin.generators import mutate_rf, random_positive
 from .conftest import assert_valid_witness
 
 
@@ -222,3 +225,56 @@ class TestSolveAcyclic:
                 assert_valid_witness(inst, got)
             else:
                 assert got.reason == "projection (t2) unsatisfiable on private channels c"
+
+    def test_refusal_names_first_channel_in_sorted_order(self):
+        # Six capacity-2 channels with three sends each: the refusal must not
+        # depend on the order of a set of channel names.
+        events, rf = [], []
+        for i, ch in enumerate("fbdaec"):
+            base = 4 * i
+            events += [Event(base + j, "t1", "snd", ch) for j in (1, 2, 3)]
+            events.append(Event(base + 4, "t2", "rcv", ch))
+            rf.append((base + 1, base + 4))
+        inst = make_instance("abstract", events, {ch: 2.0 for ch in "abcdef"}, rf)
+        for solve in (solve_acyclic, encode_2sat):
+            with pytest.raises(AlgorithmRefused, match="channel 'a' has capacity 2 >= 2"):
+                solve(inst.abstract, inst.cap_map, inst.rf)
+
+    def test_private_channel_linear(self):
+        # 2 000 snd/rcv pairs on one private unbounded channel: only
+        # po-consecutive sends and pairs are compared.
+        events, rf = [], []
+        for i in range(1, 4001, 2):
+            events += [Event(i, "t1", "snd", "c"), Event(i + 1, "t1", "rcv", "c")]
+            rf.append((i, i + 1))
+        inst = make_instance("abstract", events, {"c": INF}, rf)
+        t0 = time.perf_counter()
+        got = solve_acyclic(inst.abstract, inst.cap_map, inst.rf)
+        assert time.perf_counter() - t0 < 0.2
+        assert got.consistent
+        assert_valid_witness(inst, got)
+
+    def test_matches_brute_force_on_two_thread_random_positive(self):
+        # Consistent two-thread instances and one rf mutation of each.
+        rng = random.Random(25)
+        checked = 0
+        while checked < 1000:
+            n, m = rng.randint(6, 14), rng.randint(1, 3)
+            try:
+                inst, _ = random_positive(n, 2, m, (0, 1, INF), rng.randrange(10**9))
+            except ValueError:
+                continue  # no enabled event left, e.g. an odd n on sync channels
+            cases = [inst]
+            if inst.rf:
+                cases.append(mutate_rf(inst, rng.randrange(10**9), rounds=1)[0])
+            for case in cases:
+                x, cap, rf = case.abstract, case.cap_map, case.rf
+                got = solve_acyclic(x, cap, rf)
+                assert got.outcome == brute_force(x, cap, rf, bound=x.n).outcome, case
+                if got.consistent:
+                    assert_valid_witness(case, got)
+                checked += 1
+            if len(x.threads) == 2:
+                # One variable per unordered cross-thread pair.
+                k = x.start[1]
+                assert encode_2sat(x, cap, rf).nvars == k * (x.n - k)
