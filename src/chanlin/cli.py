@@ -50,8 +50,17 @@ from .smt import SolverError, emit_smtlib, run_external_solver
 ALGOS = ["auto", "frontier", "frontier-rf", "sync", "acyclic", "brute"]
 
 
+def _echo(text: str, nl: bool = True, stream: str = "stdout") -> None:
+    """Print to the standard stream current at call time.
+
+    ``click.echo`` without ``file=`` keeps every ``sys.stdout`` it has seen
+    alive, so an in-process caller's redirected buffer would never be freed.
+    """
+    click.echo(text, nl=nl, file=click.get_text_stream(stream, errors=None))
+
+
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", stream="stderr")
     sys.exit(2)
 
 
@@ -125,11 +134,11 @@ def check(input: str, algo: str, no_saturation: bool, witness: str | None) -> No
     if inst.kind == "trace":
         result = check_well_formed(inst.trace_events, inst.cap_map)
         if isinstance(result, Ok):
-            click.echo("result: ok")
+            _echo("result: ok")
             sys.exit(0)
-        click.echo("result: violation")
-        click.echo(f"violation: {result.kind}")
-        click.echo(f"position: {result.position}")
+        _echo("result: violation")
+        _echo(f"violation: {result.kind}")
+        _echo(f"position: {result.position}")
         sys.exit(1)
     try:
         verdict, used = _dispatch(inst, algo, saturation=not no_saturation)
@@ -144,13 +153,13 @@ def check(input: str, algo: str, no_saturation: bool, witness: str | None) -> No
         trace = make_instance("trace", events, inst.cap_map)
         with open(witness, "w", encoding="utf-8") as fh:
             fh.write(serialize_instance(trace))
-    click.echo(f"result: {verdict.outcome}")
-    click.echo(f"algorithm: {used}")
-    click.echo(f"explored: {verdict.explored}")
+    _echo(f"result: {verdict.outcome}")
+    _echo(f"algorithm: {used}")
+    _echo(f"explored: {verdict.explored}")
     if verdict.reason:
-        click.echo(f"reason: {verdict.reason}")
+        _echo(f"reason: {verdict.reason}")
     if write_witness:
-        click.echo(f"witness: {witness}")
+        _echo(f"witness: {witness}")
     sys.exit(0 if verdict.consistent else 1)
 
 
@@ -208,7 +217,7 @@ def generate(
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     _echo_shape(inst)
     sys.exit(0)
 
@@ -230,9 +239,9 @@ def mutate(input: str, seed: int, rounds: int | None, output: str | None) -> Non
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
-    click.echo(f"applied: {applied}")
-    click.echo(f"skipped: {skipped}")
+        _echo(text, nl=False)
+    _echo(f"applied: {applied}")
+    _echo(f"skipped: {skipped}")
     sys.exit(0)
 
 
@@ -260,10 +269,10 @@ def emit_smt(
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     if cmd:
         try:
-            click.echo(f"solver: {run_external_solver(output, cmd)}")
+            _echo(f"solver: {run_external_solver(output, cmd)}")
         except SolverError as exc:
             _fail(str(exc))
     sys.exit(0)
@@ -280,23 +289,23 @@ def stats(input: str) -> None:
     for ch in sorted(classes):
         cl = classes[ch]
         desc = f"bounded({cl.bound})" if cl.bound is not None else cl.kind
-        click.echo(f"class_{ch}: {desc}")
+        _echo(f"class_{ch}: {desc}")
     topo = communication_topology(x)
-    click.echo(f"topology_acyclic: {'true' if topo.acyclic else 'false'}")
+    _echo(f"topology_acyclic: {'true' if topo.acyclic else 'false'}")
     n_rcv = sum(1 for e in inst.events if e.op == "rcv")
     n_rf = len(inst.rf or ())
-    click.echo(f"rf_pairs: {n_rf}")
-    click.echo(f"rf_coverage: {n_rf}/{n_rcv}")
+    _echo(f"rf_pairs: {n_rf}")
+    _echo(f"rf_coverage: {n_rf}/{n_rcv}")
     sys.exit(0)
 
 
 def _echo_shape(inst: Instance) -> None:
     caps = [c for _, c in inst.cap]
     k = format_cap(max(caps)) if caps else "0"
-    click.echo(f"n: {inst.n}")
-    click.echo(f"t: {len(inst.abstract.threads)}")
-    click.echo(f"m: {len(inst.cap)}")
-    click.echo(f"k: {k}")
+    _echo(f"n: {inst.n}")
+    _echo(f"t: {len(inst.abstract.threads)}")
+    _echo(f"m: {len(inst.cap)}")
+    _echo(f"k: {k}")
 
 
 if __name__ == "__main__":

@@ -30,6 +30,10 @@ event ``e`` and thread ``τ`` we keep the minimal program-order position in
 ``τ`` of any known successor of ``e``.  Because the order is transitive and
 contains po, successor sets are upward closed along each thread, so the
 minimum is exact and ordering queries are O(1).
+
+The worklist pops in reverse topological order of the direct edges (po, rf
+and rule 2), so successor knowledge flows back along a causal chain in one
+sweep: a token ring saturates in linear time.
 """
 
 from __future__ import annotations
@@ -83,8 +87,19 @@ def saturate(
     ordering knowledge backward into its direct predecessors; rule 1 and 4
     triggers add a direct edge to the earliest partner per thread unless the
     ordering is already known, and the synchronous-pair rule glues each pair's
-    knowledge together.  O(t·n³) in the worst case, about n² on token rings;
-    aborts as soon as a self-ordering (cycle) appears.
+    knowledge together.  Aborts as soon as a self-ordering (cycle) appears.
+
+    The worklist is seeded in Kahn order over the direct edges, so the LIFO
+    pops sinks first.  The order cannot change the result: the rules are
+    monotone (they only lower ``succ`` entries), and an event is pushed again
+    whenever an entry it reads is lowered, so this is a chaotic iteration,
+    which under any fair order reaches the same least fixpoint.  If Kahn
+    cannot order every event, the direct edges, and so the saturated order,
+    are cyclic.  Cost: the first sweep pulls each event's direct successors'
+    rows after they were computed, O(t·(n + m) + t²·n·log n) for m direct
+    edges; an event pops again only when a derived edge or rule 3 lowers a
+    row it read, so the worst case stays O(t·n³), while a token ring
+    (nothing derived) pops each event once.
     """
     threads = x.threads
     t = len(threads)
@@ -145,9 +160,23 @@ def saturate(
         for i in sends_by_ch.get(ch, ())
     )
 
+    # Kahn order over the direct edges, sinks first; an event left out lies
+    # on a cycle of direct edges.
+    outdeg = [0] * n
+    for ps in preds:
+        for p in ps:
+            outdeg[p] += 1
+    work = [a for a in range(n) if not outdeg[a]]
+    for a in work:  # the loop also visits the events appended below
+        for p in preds[a]:
+            outdeg[p] -= 1
+            if not outdeg[p]:
+                work.append(p)
+    if len(work) < n:
+        return SaturatedOrder(threads, True, index, thr_of, pos_of, succ)
+    work.reverse()  # the LIFO pops sinks first
     cyclic = False
     in_list = [True] * n
-    work = list(range(n))  # LIFO; processed in reverse dense order first
 
     def flow(p: int, a: int) -> bool:
         """Record p ≺ a and pull a's successor knowledge into p."""

@@ -261,6 +261,18 @@ class TestCriterion5SaturationScaling:
         assert v.explored == inst.n + 1
         assert elapsed < 4
 
+    def test_sixteen_thousand_event_token_ring(self):
+        # Saturation pops each event of a ring once (reverse topological
+        # order); a thread-major worklist needs about 35 s here.
+        inst = token_ring(2000, (0.0, 1.0, 2.0, INF))
+        assert inst.n == 16000
+        t0 = time.monotonic()
+        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        elapsed = time.monotonic() - t0
+        assert v.consistent
+        assert v.explored == inst.n + 1
+        assert elapsed < 3
+
 
 class TestCriterion6MutationStatistics:
     def test_majority_inconsistent(self):

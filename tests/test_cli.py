@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
+import weakref
+
 import pytest
 from click.testing import CliRunner
 
@@ -100,6 +105,25 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(args, standalone_mode=False)
         assert exc.value.code == code
+
+    @pytest.mark.parametrize(
+        "name, code, line",
+        [
+            ("two_thread_cap1_positive.vchk", 0, "result: consistent"),
+            ("no_such_file.vchk", 2, "error: "),
+        ],
+    )
+    def test_in_process_output_buffers_are_freed(self, fixtures, name, code, line):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", str(fixtures / name)], standalone_mode=False)
+        assert exc.value.code == code
+        assert line in (out if code == 0 else err).getvalue()
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err, exc
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
     def test_no_saturation_flag(self, fixtures):
         r = run("check", fixtures / "two_thread_cap1_negative_rf.vchk", "--algo", "frontier-rf", "--no-saturation")

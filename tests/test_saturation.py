@@ -10,6 +10,7 @@ from chanlin import (
     INF,
     ChannelClass,
     Event,
+    brute_force,
     classify_channels,
     make_instance,
     saturate,
@@ -166,6 +167,37 @@ class TestAgainstNaiveFixpoint:
                     preds = sum(1 for f in seq if (f, e) in rel)
                     assert need[tidx[th]] == preds, (e, th)
 
+
+class TestDirectEdgeCycles:
+    """Instances whose po, rf and rule-2 edges alone already form a cycle."""
+
+    def assert_cyclic(self, events, cap, rf):
+        inst = make_instance("abstract", events, cap, rf)
+        assert saturate(inst.abstract, inst.cap_map, inst.rf).cyclic
+        assert assert_matches_naive(inst)
+        assert not brute_force(inst.abstract, inst.cap_map, inst.rf).consistent
+
+    def test_po_and_rf_cycle_across_two_threads(self):
+        # rcv c ≺po snd d ≺rf rcv d ≺po snd c ≺rf rcv c.
+        events = [
+            Event(1, "t1", "rcv", "c"),
+            Event(2, "t1", "snd", "d"),
+            Event(3, "t2", "rcv", "d"),
+            Event(4, "t2", "snd", "c"),
+        ]
+        self.assert_cyclic(events, {"c": INF, "d": INF}, [(4, 1), (2, 3)])
+
+    def test_cycle_through_rule_2_edge(self):
+        # Unmatched send u ≺po snd d ≺rf rcv d ≺po matched send m on c, and
+        # rule 2 closes the cycle with m ≺ u.
+        events = [
+            Event(1, "t1", "snd", "c"),  # u
+            Event(2, "t1", "snd", "d"),
+            Event(3, "t2", "rcv", "d"),
+            Event(4, "t2", "snd", "c"),  # m
+            Event(5, "t3", "rcv", "c"),
+        ]
+        self.assert_cyclic(events, {"c": INF, "d": 1.0}, [(2, 3), (4, 5)])
 
 class TestReady:
     def test_ready_gates_on_predecessors(self):
