@@ -126,12 +126,11 @@ class ChannelClass:
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected thread graph: an edge joins threads sharing a channel."""
+    """The threads that use each channel, and whether the undirected thread
+    graph (an edge joins two threads sharing a channel) is acyclic."""
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    users: dict[str, tuple[str, ...]]  # channel -> its threads, sorted
     acyclic: bool
-    private_channels: tuple[tuple[str, str], ...]  # (channel, sole thread)
 
 
 @dataclass(frozen=True)
@@ -277,23 +276,21 @@ def validate_instance(inst: Instance) -> None:
 
 def _validate_rf(inst: Instance) -> None:
     by_id = inst.by_id
-    snds: set[int] = set()
-    rcvs: set[int] = set()
+    matched: set[int] = set()
     for s, r in inst.rf or ():
-        bad = _rf_pair_defect(by_id, s, r)
+        bad = _rf_pair_defect(by_id, s, r, matched)
         if bad is not None:
             raise ValidationError(bad)
         es, er = by_id[s], by_id[r]
-        if s in snds or r in rcvs:
-            raise ValidationError(f"rf ({s},{r}): rf is not injective")
-        snds.add(s)
-        rcvs.add(r)
         if es.value is not None and er.value is not None and es.value != er.value:
             raise ValidationError(f"rf ({s},{r}): matched events carry different values")
 
 
-def _rf_pair_defect(by_id: Mapping[int, Event], s: int, r: int) -> str | None:
-    """Why the pair ``(s, r)`` cannot be a reads-from edge, or ``None``."""
+def _rf_pair_defect(
+    by_id: Mapping[int, Event], s: int, r: int, matched: set[int]
+) -> str | None:
+    """Why the pair ``(s, r)`` cannot be a reads-from edge next to the pairs
+    whose events are in ``matched``, or ``None``; a good pair joins ``matched``."""
     es, er = by_id.get(s), by_id.get(r)
     if es is None or er is None:
         return f"rf ({s},{r}): endpoint missing"
@@ -301,6 +298,10 @@ def _rf_pair_defect(by_id: Mapping[int, Event], s: int, r: int) -> str | None:
         return f"rf ({s},{r}): rf endpoint op mismatch"
     if es.channel != er.channel:
         return f"rf ({s},{r}): endpoints on different channels"
+    if s in matched or r in matched:
+        return f"rf ({s},{r}): rf is not injective"
+    matched.add(s)
+    matched.add(r)
     return None
 
 
@@ -330,16 +331,12 @@ def rf_defect(
     by_id = x.by_id
     matched: set[int] = set()
     for s, r in rf:
-        bad = _rf_pair_defect(by_id, s, r)
+        bad = _rf_pair_defect(by_id, s, r, matched)
         if bad is not None:
             return bad
-        if s in matched or r in matched:
-            return f"rf ({s},{r}): rf is not injective"
         es = by_id[s]
         if cap[es.channel] == 0 and es.thread == by_id[r].thread:
             return f"rf ({s},{r}): synchronous pair within one thread"
-        matched.add(s)
-        matched.add(r)
     for e in x.events:
         if e.id in matched:
             continue
@@ -580,23 +577,19 @@ def classify_channels(x: AbstractExecution, cap: Mapping[str, float]) -> dict[st
 
 
 def communication_topology(x: AbstractExecution) -> Topology:
-    """Build the thread graph; an edge joins threads sharing a channel."""
-    accessors: dict[str, set[str]] = defaultdict(set)
+    """Map each channel to its threads and test the thread graph for cycles.
+
+    A channel with three or more users joins them in a triangle.  Otherwise
+    every edge is a channel with two users, and union-find over the distinct
+    pairs finds a cycle.
+    """
+    seen: dict[str, set[str]] = defaultdict(set)
     for e in x.events:
-        accessors[e.channel].add(e.thread)
-    edges: set[tuple[str, str]] = set()
-    private: list[tuple[str, str]] = []
-    for ch in sorted(accessors):
-        ts = sorted(accessors[ch])
-        if len(ts) == 1:
-            private.append((ch, ts[0]))
-        else:
-            for i in range(len(ts)):
-                for j in range(i + 1, len(ts)):
-                    edges.add((ts[i], ts[j]))
-    nodes = x.threads
-    # Union-find cycle detection on the simple undirected graph.
-    parent = {t: t for t in nodes}
+        seen[e.channel].add(e.thread)
+    users = {ch: tuple(sorted(ts)) for ch, ts in seen.items()}
+    if any(len(ts) > 2 for ts in users.values()):
+        return Topology(users=users, acyclic=False)
+    parent = {t: t for t in x.threads}
 
     def find(a: str) -> str:
         while parent[a] != a:
@@ -605,15 +598,10 @@ def communication_topology(x: AbstractExecution) -> Topology:
         return a
 
     acyclic = True
-    for u, v in sorted(edges):
+    for u, v in dict.fromkeys(ts for ts in users.values() if len(ts) == 2):
         ru, rv = find(u), find(v)
         if ru == rv:
             acyclic = False
-        else:
-            parent[ru] = rv
-    return Topology(
-        nodes=nodes,
-        edges=tuple(sorted(edges)),
-        acyclic=acyclic,
-        private_channels=tuple(private),
-    )
+            break
+        parent[ru] = rv
+    return Topology(users=users, acyclic=acyclic)

@@ -8,8 +8,11 @@
   with its private channels, and each projection is decided by a 2SAT
   encoding with one variable per unordered cross-thread event pair, numbered
   from the dense index (in a single-thread projection every literal is a po
-  constant, and only po-consecutive sends and rf pairs are compared).
-* :func:`solve_2sat` — implication-graph strongly-connected-components 2SAT.
+  constant, and only po-consecutive sends and rf pairs are compared).  The
+  witness sorts program order plus each two-thread model read as one merged
+  order of its projection.
+* :func:`solve_2sat` — implication-graph strongly-connected-components 2SAT
+  (Aspvall, Plass & Tarjan 1979).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .core import (
@@ -87,12 +90,12 @@ def solve_sync(
     g = build_send_receive_graph(x, rf)
     order = _topo_sort(len(g.nodes), g.edges)
     if order is None:
-        return Verdict(INCONSISTENT, explored=len(g.nodes))
+        return Verdict(INCONSISTENT)
     witness: list[int] = []
     for i in order:
         s, r = g.nodes[i]
         witness.extend((s, r))
-    return Verdict(CONSISTENT, witness=tuple(witness), explored=len(g.nodes))
+    return Verdict(CONSISTENT, witness=tuple(witness))
 
 
 def _topo_sort(n: int, edges: Sequence[tuple[int, int]]) -> list[int] | None:
@@ -136,10 +139,6 @@ class TwoSatFormula:
     clauses: list[tuple[int, int]] = field(default_factory=list)
     infeasible: bool = False
 
-    def new_var(self) -> int:
-        self.nvars += 1
-        return self.nvars
-
     def add(self, *lits) -> None:
         """Add a clause of literal ints and/or TRUE/FALSE constants."""
         out: list[int] = []
@@ -161,51 +160,43 @@ def solve_2sat(f: TwoSatFormula) -> list[bool] | None:
     """Aspvall-style 2SAT: implication graph + strongly connected components.
 
     Returns a satisfying assignment indexed ``1..nvars`` (index 0 unused), or
-    ``None`` when unsatisfiable.  Linear in variables + clauses.
+    ``None`` when unsatisfiable.  Linear in variables + clauses.  Literal +v
+    is node 2v − 2 and −v is node 2v − 1, so ``^ 1`` negates a node.
     """
     if f.infeasible:
         return None
-    nv = f.nvars
-    size = 2 * nv
-
-    def node(lit: int) -> int:
-        v = abs(lit) - 1
-        return 2 * v + (0 if lit > 0 else 1)
-
+    size = 2 * f.nvars
     adj: list[list[int]] = [[] for _ in range(size)]
     for a, b in f.clauses:
-        adj[node(-a)].append(node(b))
-        adj[node(-b)].append(node(a))
+        na = 2 * a - 2 if a > 0 else -2 * a - 1
+        nb = 2 * b - 2 if b > 0 else -2 * b - 1
+        adj[na ^ 1].append(nb)
+        adj[nb ^ 1].append(na)
 
-    # Iterative Tarjan SCC.
-    comp = [-1] * size
+    # Iterative Tarjan SCC: num is -1 until visited, comp is -1 while on the stack.
+    num = [-1] * size
     low = [0] * size
-    num = [0] * size
-    on_stack = [False] * size
-    visited = [False] * size
+    comp = [-1] * size
     scc_stack: list[int] = []
-    counter = 0
-    ncomp = 0
+    counter = ncomp = 0
     for root in range(size):
-        if visited[root]:
+        if num[root] >= 0:
             continue
-        work = [(root, 0)]
+        num[root] = low[root] = counter
+        counter += 1
+        scc_stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            u, pi = work[-1]
-            if pi == 0:
-                visited[u] = True
-                num[u] = low[u] = counter
-                counter += 1
-                scc_stack.append(u)
-                on_stack[u] = True
-            if pi < len(adj[u]):
-                work[-1] = (u, pi + 1)
-                w = adj[u][pi]
-                if not visited[w]:
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    if num[w] < low[u]:
-                        low[u] = num[w]
+            u, edges = work[-1]
+            for w in edges:
+                if num[w] < 0:
+                    num[w] = low[w] = counter
+                    counter += 1
+                    scc_stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if comp[w] < 0 and num[w] < low[u]:
+                    low[u] = num[w]
             else:
                 work.pop()
                 if work:
@@ -215,19 +206,17 @@ def solve_2sat(f: TwoSatFormula) -> list[bool] | None:
                 if low[u] == num[u]:
                     while True:
                         w = scc_stack.pop()
-                        on_stack[w] = False
                         comp[w] = ncomp
                         if w == u:
                             break
                     ncomp += 1
 
-    assign = [False] * (nv + 1)
-    for v in range(nv):
-        cp, cn = comp[2 * v], comp[2 * v + 1]
-        if cp == cn:
+    assign = [False]
+    for v in range(0, size, 2):
+        if comp[v] == comp[v + 1]:
             return None
         # Tarjan numbers components in reverse topological order.
-        assign[v + 1] = cp < cn
+        assign.append(comp[v] < comp[v + 1])
     return assign
 
 
@@ -272,10 +261,12 @@ def encode_2sat(
     predecessor and successor.  Only ``(a<b) → (pa<b)`` and ``(a<b) → (a<sb)``
     remain, which are variable v implying v − w and v + 1.
 
-    On a channel whose events all lie in one thread every literal is a po
-    constant, and each rule holds iff it holds between po-consecutive sends
-    (matched before unmatched, capacity 1) or po-consecutive rf pairs (FIFO);
-    only those clauses are emitted, so such a channel costs linear time.
+    In a single-thread instance every literal is a po constant, and each rule
+    holds iff it holds between po-consecutive sends (matched before unmatched,
+    capacity 1) or po-consecutive rf pairs (FIFO); only those clauses are
+    emitted, so such an instance costs linear time.  In a two-thread instance
+    every pair is compared, also on a channel that one thread uses alone;
+    :func:`solve_acyclic` builds no such projection.
     """
     if len(x.threads) > 2:
         raise AlgorithmRefused("2SAT encoding requires at most two threads")
@@ -307,17 +298,15 @@ def encode_2sat(
 
     rcv_of = dict(rf)
     sends_by_ch: dict[str, list[int]] = defaultdict(list)
-    users: dict[str, set[str]] = defaultdict(set)
     for e in ids:
         ev = by_id[e]
-        users[ev.channel].add(ev.thread)
         if ev.op == SND:
             sends_by_ch[ev.channel].append(e)
+    private = len(x.threads) == 1
+    near = 1 if private else n  # how many later sends or pairs to compare
     for ch in x.channels:
         sends = sends_by_ch[ch]  # in dense order, so po-ordered per thread
         table = [(s, rcv_of[s]) for s in sends if s in rcv_of]
-        private = len(users[ch]) == 1
-        near = 1 if private else n  # how many later sends or pairs to compare
 
         # Matched sends before unmatched sends; FIFO between pairs.
         for i, s in enumerate(sends):
@@ -374,15 +363,22 @@ def solve_acyclic(
 ) -> Verdict:
     """Compositional solver for acyclic communication topologies.
 
-    Groups the channels by the threads that use them.  In an acyclic topology
-    no channel has three users, so each group is either the channels of one
-    topology edge or the private channels of one thread.  Each group's
-    projection (its events, program order as the induced subsequence) is
-    decided by one 2SAT encoding; in a single-thread projection every literal
-    folds to a po constant, which checks the FIFO and capacity rules along
-    program order.  Consistent iff all projections pass; the witness is a
-    global topological sort of program order plus all pair orderings that the
-    2SAT models chose, with synchronous rf pairs contracted into atomic blocks.
+    Groups the channels by their users (``communication_topology(x).users``).
+    In an acyclic topology no channel has three users, so each group is either
+    the channels of one topology edge or the private channels of one thread.
+    Each group's projection (its events, program order as the induced
+    subsequence) is decided by one 2SAT encoding; in a single-thread
+    projection every literal folds to a po constant, which checks the FIFO and
+    capacity rules along program order.  Consistent iff all projections pass.
+
+    The transitivity clauses make the events of one thread that follow an
+    event of the other a po suffix, so a two-thread model is one interleaving
+    of its projection, which a merge of the two threads reads with one
+    variable per step.  The witness is a global topological sort of program
+    order plus the consecutive pairs of each merged order, with synchronous rf
+    pairs contracted into atomic blocks.  Those pairs have the transitive
+    closure of all k·w pair orderings of the model, so the sort, which takes
+    the lowest block whose predecessors are all placed, returns the same order.
     """
     classes = _classify(x, cap)
     topo = communication_topology(x)
@@ -393,16 +389,13 @@ def solve_acyclic(
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
 
-    accessors: dict[str, set[str]] = defaultdict(set)
-    for e in x.events:
-        accessors[e.channel].add(e.thread)
-    group = {ch: tuple(sorted(ts)) for ch, ts in accessors.items()}
+    users = topo.users
     sub_events: dict[tuple[str, ...], list[Event]] = defaultdict(list)
     for e in x.events:
-        sub_events[group[e.channel]].append(e)
+        sub_events[users[e.channel]].append(e)
     sub_rf: dict[tuple[str, ...], list[tuple[int, int]]] = defaultdict(list)
     for s, r in rf:  # rf_defect has put both ends on one channel
-        sub_rf[group[x.by_id[s].channel]].append((s, r))
+        sub_rf[users[x.by_id[s].channel]].append((s, r))
 
     # Single-thread projections first, then the topology edges in order.
     orderings: list[tuple[int, int]] = []
@@ -412,13 +405,22 @@ def solve_acyclic(
         if assign is None:
             reason = f"projection ({','.join(ts)}) unsatisfiable"
             if len(ts) == 1:
-                private = sorted(ch for ch, g in group.items() if g == ts)
+                private = sorted(ch for ch, g in users.items() if g == ts)
                 reason += f" on private channels {', '.join(private)}"
             return Verdict(INCONSISTENT, reason=reason)
         if len(ts) == 2:  # variable i·w + (j−k) + 1 orders dense events i < k ≤ j
             ids, k = list(sub.index), sub.start[1]
-            pairs = enumerate(product(ids[:k], ids[k:]), 1)
-            orderings.extend((a, b) if assign[v] else (b, a) for v, (a, b) in pairs)
+            n, w = len(ids), len(ids) - k
+            i, j, merged = 0, k, []
+            while i < k and j < n:
+                if assign[i * w + j - k + 1]:
+                    merged.append(ids[i])
+                    i += 1
+                else:
+                    merged.append(ids[j])
+                    j += 1
+            merged += ids[i:k] + ids[j:]
+            orderings.extend(zip(merged, merged[1:]))
 
     witness = _assemble_witness(x, rf, classes, orderings)
     return Verdict(CONSISTENT, witness=witness)

@@ -293,9 +293,7 @@ class TestCriterion7TwoSat:
         rng = random.Random(1004)
         for _ in range(200):
             nv = rng.randint(1, 15)
-            f = TwoSatFormula()
-            for _ in range(nv):
-                f.new_var()
+            f = TwoSatFormula(nvars=nv)
             clauses = []
             for _ in range(rng.randint(1, 3 * nv)):
                 a = rng.randint(1, nv) * rng.choice([1, -1])

@@ -243,7 +243,7 @@ class TestClassification:
         events = [Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "c")]
         topo = communication_topology(make_instance("abstract", events, {"c": INF}).abstract)
         assert topo.acyclic
-        assert topo.edges == (("t1", "t2"),)
+        assert topo.users == {"c": ("t1", "t2")}
 
     def test_topology_triangle_cyclic(self):
         events = [
@@ -253,8 +253,38 @@ class TestClassification:
         ]
         topo = communication_topology(make_instance("abstract", events, {"c": INF}).abstract)
         assert not topo.acyclic
+        assert topo.users == {"c": ("t1", "t2", "t3")}
+
+    def test_topology_cycle_of_two_thread_channels(self):
+        # t1-t2, t2-t3, t3-t1: no channel has three users, union-find finds the cycle.
+        events = [
+            Event(1, "t1", "snd", "a"),
+            Event(2, "t2", "rcv", "a"),
+            Event(3, "t2", "snd", "b"),
+            Event(4, "t3", "rcv", "b"),
+            Event(5, "t3", "snd", "c"),
+            Event(6, "t1", "rcv", "c"),
+        ]
+        cap = {"a": INF, "b": INF, "c": INF}
+        topo = communication_topology(make_instance("abstract", events, cap).abstract)
+        assert not topo.acyclic
+        assert topo.users == {"a": ("t1", "t2"), "b": ("t2", "t3"), "c": ("t1", "t3")}
+
+    def test_topology_pair_sharing_two_channels(self):
+        # Two channels between one thread pair are one edge, not a cycle.
+        events = [
+            Event(1, "t1", "snd", "a"),
+            Event(2, "t2", "rcv", "a"),
+            Event(3, "t2", "snd", "b"),
+            Event(4, "t1", "rcv", "b"),
+        ]
+        cap = {"a": INF, "b": INF}
+        topo = communication_topology(make_instance("abstract", events, cap).abstract)
+        assert topo.acyclic
+        assert topo.users == {"a": ("t1", "t2"), "b": ("t1", "t2")}
 
     def test_private_channels(self):
         events = [Event(1, "t1", "snd", "c"), Event(2, "t1", "rcv", "c")]
         topo = communication_topology(make_instance("abstract", events, {"c": INF}).abstract)
-        assert topo.private_channels == (("c", "t1"),)
+        assert topo.acyclic
+        assert topo.users == {"c": ("t1",)}

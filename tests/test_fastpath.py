@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -10,12 +11,14 @@ from collections import defaultdict
 import pytest
 
 from chanlin import (
+    AbstractExecution,
     AlgorithmRefused,
     Event,
     INF,
     TwoSatFormula,
     brute_force,
     build_send_receive_graph,
+    communication_topology,
     encode_2sat,
     make_instance,
     parse_instance,
@@ -85,6 +88,7 @@ class TestSolveSync:
             got = solve_sync(inst.abstract, inst.cap_map, inst.rf)
             want = brute_force(inst.abstract, inst.cap_map, inst.rf)
             assert got.outcome == want.outcome
+            assert got.explored == 0  # not a search
             if got.consistent:
                 assert_valid_witness(inst, got)
 
@@ -119,9 +123,7 @@ class TestTwoSat:
         rng = random.Random(23)
         for _ in range(200):
             nv = rng.randint(1, 10)
-            f = TwoSatFormula()
-            for _ in range(nv):
-                f.new_var()
+            f = TwoSatFormula(nvars=nv)
             clauses = []
             for _ in range(rng.randint(1, 30)):
                 a = rng.randint(1, nv) * rng.choice([1, -1])
@@ -135,12 +137,11 @@ class TestTwoSat:
                     assert (assign[abs(a)] == (a > 0)) or (assign[abs(b)] == (b > 0))
 
     def test_constant_folding(self):
-        f = TwoSatFormula()
-        v = f.new_var()
-        f.add(("const", True), -v)  # satisfied clause: dropped
-        f.add(("const", False), v)  # unit clause v
+        f = TwoSatFormula(nvars=1)
+        f.add(("const", True), -1)  # satisfied clause: dropped
+        f.add(("const", False), 1)  # unit clause 1
         assert solve_2sat(f) == [False, True]
-        f.add(("const", False), -v)
+        f.add(("const", False), -1)
         assert solve_2sat(f) is None
 
     def test_empty_clause_infeasible(self):
@@ -278,3 +279,95 @@ class TestSolveAcyclic:
                 # One variable per unordered cross-thread pair.
                 k = x.start[1]
                 assert encode_2sat(x, cap, rf).nvars == k * (x.n - k)
+
+    def test_witness_matches_all_pair_orderings(self):
+        # The witness sorts po plus one merged order per two-thread projection.
+        # Rebuild it from all k·w pair orderings of each projection's model,
+        # with a reference 2SAT solver: the two must give the same witness.
+        rng = random.Random(26)
+        checked = 0
+        while checked < 300:
+            n, t, m = rng.randint(6, 24), rng.randint(2, 4), rng.randint(1, 4)
+            try:
+                inst, _ = random_positive(n, t, m, (0, 1, INF), rng.randrange(10**9))
+            except ValueError:
+                continue
+            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+            topo = communication_topology(x)
+            if not topo.acyclic or all(len(ts) == 1 for ts in topo.users.values()):
+                continue
+            checked += 1
+            got = solve_acyclic(x, cap, rf)
+            assert got.consistent
+            assert got.witness == _all_orderings_witness(x, cap, rf, topo.users)
+
+
+def _reference_2sat(nvars, clauses):
+    """Recursive Tarjan over the implication graph, literal +v as node 2v − 2
+    and −v as node 2v − 1, roots and edges in order; the model, or None."""
+    def node(lit):
+        return 2 * lit - 2 if lit > 0 else -2 * lit - 1
+
+    adj = [[] for _ in range(2 * nvars)]
+    for a, b in clauses:
+        adj[node(a) ^ 1].append(node(b))
+        adj[node(b) ^ 1].append(node(a))
+    num, low, comp, stack, roots = {}, {}, {}, [], []
+
+    def visit(u):
+        num[u] = low[u] = len(num)
+        stack.append(u)
+        for w in adj[u]:
+            if w not in num:
+                visit(w)
+                low[u] = min(low[u], low[w])
+            elif w not in comp:
+                low[u] = min(low[u], num[w])
+        if low[u] == num[u]:  # components are numbered as they complete
+            while True:
+                w = stack.pop()
+                comp[w] = len(roots)
+                if w == u:
+                    break
+            roots.append(u)
+
+    for u in range(2 * nvars):
+        if u not in num:
+            visit(u)
+    if any(comp[2 * v] == comp[2 * v + 1] for v in range(nvars)):
+        return None
+    return [False] + [comp[2 * v] < comp[2 * v + 1] for v in range(nvars)]
+
+
+def _all_orderings_witness(x, cap, rf, users):
+    """Heap-ordered topological sort of po plus every pair ordering of each
+    two-thread projection's model; synchronous rf pairs are glued."""
+    edges = [ab for seq in x.po.values() for ab in zip(seq, seq[1:])]
+    for ts in sorted({ts for ts in users.values() if len(ts) == 2}):
+        sub = AbstractExecution(events=tuple(e for e in x.events if users[e.channel] == ts))
+        sub_rf = tuple((s, r) for s, r in rf if users[x.by_id[s].channel] == ts)
+        f = encode_2sat(sub, cap, sub_rf)
+        assign = _reference_2sat(f.nvars, f.clauses)
+        ids, k = list(sub.index), sub.start[1]
+        for v, (a, b) in enumerate(itertools.product(ids[:k], ids[k:]), 1):
+            edges.append((a, b) if assign[v] else (b, a))
+    glue = {s: r for s, r in rf if cap[x.by_id[s].channel] == 0}
+    glued = set(glue.values())
+    blocks = [(e, glue[e]) if e in glue else (e,) for e in x.index if e not in glued]
+    block_of = {e: bi for bi, block in enumerate(blocks) for e in block}
+    succ = defaultdict(list)
+    indeg = [0] * len(blocks)
+    for a, b in edges:
+        if block_of[a] != block_of[b]:
+            succ[block_of[a]].append(block_of[b])
+            indeg[block_of[b]] += 1
+    ready = [bi for bi, d in enumerate(indeg) if d == 0]
+    order = []
+    while ready:
+        bi = heapq.heappop(ready)
+        order.extend(blocks[bi])
+        for bj in succ[bi]:
+            indeg[bj] -= 1
+            if indeg[bj] == 0:
+                heapq.heappush(ready, bj)
+    return tuple(order)
