@@ -104,8 +104,28 @@ def _dispatch(inst: Instance, algo: str, saturation: bool) -> tuple[Verdict, str
     return solve_vchrf(x, cap, rf), "frontier-rf"
 
 
-class _Main(click.Group):
+def _show(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """Print ``--help`` or ``--version`` through :func:`_echo`, then exit."""
+    if value and not ctx.resilient_parsing:
+        version = f"{ctx.find_root().info_name}, version {__version__}"
+        _echo(version if param.name == "version" else ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose ``--help`` prints through :func:`_echo`."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show
+        return option
+
+
+class _Main(_Command, click.Group):
     """The command group; an unexpected exception in any command exits 2."""
+
+    command_class = _Command
 
     def invoke(self, ctx: click.Context):
         try:
@@ -118,7 +138,8 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(__version__)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True, callback=_show,
+              help="Show the version and exit.")
 def main() -> None:
     """Consistency checking of message-passing executions over FIFO channels."""
 

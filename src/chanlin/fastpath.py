@@ -1,7 +1,8 @@
 """Special-case polynomial solvers.
 
-* :func:`solve_sync` — all channels synchronous: matched pairs become nodes of
-  a send-receive graph whose acyclicity characterizes consistency.
+* :func:`solve_sync` — all channels synchronous: each rf pair is a rendezvous,
+  contracted into one block, and the instance is consistent iff program order
+  is acyclic on the blocks (the block sort is the witness).
 * :func:`solve_acyclic` — acyclic communication topology with channels that
   are synchronous, capacity-1, or effectively unbounded: the instance is
   projected onto every pair of communicating threads, and onto each thread
@@ -9,8 +10,8 @@
   encoding with one variable per unordered cross-thread event pair, numbered
   from the dense index (in a single-thread projection every literal is a po
   constant, and only po-consecutive sends and rf pairs are compared).  The
-  witness sorts program order plus each two-thread model read as one merged
-  order of its projection.
+  witness is the same block sort as :func:`solve_sync`'s, over program order
+  plus each two-thread model read as one merged order of its projection.
 * :func:`solve_2sat` — implication-graph strongly-connected-components 2SAT
   (Aspvall, Plass & Tarjan 1979).
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Mapping, Sequence
 
 from .core import (
@@ -39,40 +39,8 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# Send-receive graph for all-synchronous instances
+# Rendezvous blocks: the all-synchronous solver and the witness sort
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SendReceiveGraph:
-    """Graph over matched (send, receive) pairs; edges follow po adjacency."""
-
-    nodes: tuple[tuple[int, int], ...]  # (send id, rcv id), sorted
-    edges: tuple[tuple[int, int], ...]  # indices into nodes
-
-
-def build_send_receive_graph(
-    x: AbstractExecution, rf: Sequence[tuple[int, int]]
-) -> SendReceiveGraph:
-    """Pack rf pairs into atomic nodes; edge u→v iff an element of u is the
-    immediate po predecessor of an element of v.
-
-    Every event must lie in an rf pair, which :func:`rf_defect` guarantees for
-    an all-synchronous instance it accepts.
-    """
-    node_of: dict[int, int] = {}
-    nodes = tuple(sorted(rf))
-    for i, (s, r) in enumerate(nodes):
-        node_of[s] = i
-        node_of[r] = i
-    edges: set[tuple[int, int]] = set()
-    for th in x.threads:
-        seq = x.po[th]
-        for p in range(len(seq) - 1):
-            u, v = node_of[seq[p]], node_of[seq[p + 1]]
-            if u != v:
-                edges.add((u, v))
-    return SendReceiveGraph(nodes=nodes, edges=tuple(sorted(edges)))
 
 
 def solve_sync(
@@ -80,41 +48,60 @@ def solve_sync(
     cap: Mapping[str, float],
     rf: Sequence[tuple[int, int]],
 ) -> Verdict:
-    """All-synchronous fast path: consistent iff the send-receive graph is
-    acyclic; the witness is a topological order expanded into snd·rcv pairs."""
+    """All-synchronous fast path: consistent iff program order is acyclic on
+    the rendezvous blocks; the witness is their block sort."""
     if any(cap[e.channel] != 0 for e in x.events):
         raise AlgorithmRefused("solve_sync requires all channels synchronous")
     bad = rf_defect(x, cap, rf)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
-    g = build_send_receive_graph(x, rf)
-    order = _topo_sort(len(g.nodes), g.edges)
-    if order is None:
-        return Verdict(INCONSISTENT)
-    witness: list[int] = []
-    for i in order:
-        s, r = g.nodes[i]
-        witness.extend((s, r))
-    return Verdict(CONSISTENT, witness=tuple(witness))
+    witness = _block_sort(x, cap, rf, ())
+    if witness is None:
+        return Verdict(INCONSISTENT, reason="rendezvous blocks form a program-order cycle")
+    return Verdict(CONSISTENT, witness=witness)
 
 
-def _topo_sort(n: int, edges: Sequence[tuple[int, int]]) -> list[int] | None:
-    adj: list[list[int]] = [[] for _ in range(n)]
+def _block_sort(
+    x: AbstractExecution,
+    cap: Mapping[str, float],
+    rf: Sequence[tuple[int, int]],
+    orderings: Sequence[tuple[int, int]],
+) -> tuple[int, ...] | None:
+    """Sort the events under po plus ``orderings`` (pairs of event ids), or
+    return ``None`` when they are cyclic.  Each synchronous rf pair is one
+    block, named by the dense index of its send; the lowest ready block goes
+    first, so ties go by the (thread token, po) of a block's first event."""
+    by_id, index, thr_of = x.by_id, x.index, x.thr_of
+    ids = list(index)  # event ids in dense order
+    n = len(ids)
+    head = list(range(n))  # event -> its block
+    tail = [-1] * n  # synchronous send -> its receive
+    for s, r in rf:
+        if cap[by_id[s].channel] == 0:
+            head[index[r]], tail[index[s]] = index[s], index[r]
     indeg = [0] * n
-    for u, v in edges:
-        adj[u].append(v)
-        indeg[v] += 1
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    while heap:
-        u = heapq.heappop(heap)
-        out.append(u)
-        for v in adj[u]:
+    later: dict[int, list[int]] = defaultdict(list)  # block -> blocks ordered after it
+    for e, f in orderings:
+        u, v = head[index[e]], head[index[f]]
+        if u != v:  # not a rendezvous's own send and receive
+            later[u].append(v)
+            indeg[v] += 1
+    for i in range(1, n):  # po; inside a block (a one-thread rendezvous) it never clears
+        if thr_of[i - 1] == thr_of[i]:
+            indeg[head[i]] += 1
+
+    ready = [b for b in range(n) if head[b] == b and not indeg[b]]  # sorted: a heap
+    witness: list[int] = []
+    while ready:
+        b = heapq.heappop(ready)
+        block = (b,) if tail[b] < 0 else (b, tail[b])
+        witness += [ids[i] for i in block]
+        po = [head[i + 1] for i in block if i + 1 < n and thr_of[i + 1] == thr_of[i]]
+        for v in po + later.get(b, []):
             indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    return out if len(out) == n else None
+            if not indeg[v]:
+                heapq.heappush(ready, v)
+    return tuple(witness) if len(witness) == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +361,12 @@ def solve_acyclic(
     The transitivity clauses make the events of one thread that follow an
     event of the other a po suffix, so a two-thread model is one interleaving
     of its projection, which a merge of the two threads reads with one
-    variable per step.  The witness is a global topological sort of program
-    order plus the consecutive pairs of each merged order, with synchronous rf
-    pairs contracted into atomic blocks.  Those pairs have the transitive
-    closure of all k·w pair orderings of the model, so the sort, which takes
-    the lowest block whose predecessors are all placed, returns the same order.
+    variable per step.  The witness is :func:`_block_sort` of program order
+    plus the consecutive pairs of each merged order.  Those pairs have the
+    transitive closure of all k·w pair orderings of the model, so the sort,
+    which takes the lowest ready block, returns the same order.
     """
-    classes = _classify(x, cap)
+    _classify(x, cap)
     topo = communication_topology(x)
     if not topo.acyclic:
         raise AlgorithmRefused("communication topology is cyclic")
@@ -422,26 +408,8 @@ def solve_acyclic(
             merged += ids[i:k] + ids[j:]
             orderings.extend(zip(merged, merged[1:]))
 
-    witness = _assemble_witness(x, rf, classes, orderings)
+    witness = _block_sort(x, cap, rf, orderings)
+    if witness is None:
+        raise AlgorithmRefused("witness assembly failed to linearize")
     return Verdict(CONSISTENT, witness=witness)
 
-
-def _assemble_witness(
-    x: AbstractExecution,
-    rf: Sequence[tuple[int, int]],
-    classes: Mapping[str, ChannelClass],
-    orderings: Sequence[tuple[int, int]],
-) -> tuple[int, ...]:
-    """Topologically sort po plus pair orderings; synchronous rf pairs are
-    contracted so the snd·rcv adjacency survives.  Blocks are numbered in the
-    dense order of their first event, so ties go by (thread token, po)."""
-    glue = {s: r for s, r in rf if classes[x.by_id[s].channel].kind == ChannelClass.SYNC}
-    glued = set(glue.values())
-    blocks = [(e, glue[e]) if e in glue else (e,) for e in x.index if e not in glued]
-    block_of = {e: bi for bi, block in enumerate(blocks) for e in block}
-    po_edges = (ab for seq in x.po.values() for ab in zip(seq, seq[1:]))
-    edges = [(block_of[a], block_of[b]) for a, b in chain(po_edges, orderings)]
-    order = _topo_sort(len(blocks), [(u, v) for u, v in edges if u != v])
-    if order is None:
-        raise AlgorithmRefused("witness assembly failed to linearize")
-    return tuple(e for bi in order for e in blocks[bi])

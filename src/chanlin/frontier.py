@@ -42,8 +42,8 @@ derivation of x ≺ r, every such x is executed:
 * po and rf predecessors of r are executed (rf(r) is at the channel front);
 * rule 1 gives r' ≺ r from s' ≺ s = rf(r); s' was executed before s, so it
   entered the FIFO channel first and r' dequeued it before s reached the front;
-* rule 3 orders both ends of a rendezvous alike before r; one end is executed
-  by a shorter derivation, and with no rendezvous pending so is the other;
+* a rule 3 edge into r starts at the receive of r's po predecessor, a
+  synchronous send; with no rendezvous pending, both are executed;
 * rules 2 and 4 and rule 1 backward order events only before sends, and a
   step x ≺ y ≺ r passes through an executed y, and the executed set is closed.
 """

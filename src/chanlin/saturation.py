@@ -7,7 +7,7 @@ and reads-from that is closed under four channel rules:
 2. matched sends precede unmatched sends on the same channel;
 3. on a synchronous channel a matched pair behaves as one event: anything
    ordered against the receive is equally ordered against the send and vice
-   versa;
+   versa (a rendezvous);
 4. on a capacity-1 channel, a matched send preceding another send forces its
    receive to precede that send too.
 
@@ -20,6 +20,11 @@ r2 ≺ r2', so by induction on po distance r1 ≺ r2 reaches every later partner
 in that thread; rule 4's later sends follow s2 in po, and rule 1 backward runs
 the same chain over receives.  The least fixpoint is unchanged.
 
+Rules 2 and 3 give static edges.  Rule 3 copies each po or rule 2 edge u → v
+to start at u's receive when u is a synchronous send and to end at v's send
+when v is a synchronous receive; derived edges need no copies (see
+:func:`saturate`).
+
 A cycle in the saturated order certifies inconsistency; otherwise every
 concretization must respect the order, which licenses aggressive pruning of
 the frontier search.
@@ -31,9 +36,9 @@ event ``e`` and thread ``τ`` we keep the minimal program-order position in
 contains po, successor sets are upward closed along each thread, so the
 minimum is exact and ordering queries are O(1).
 
-The worklist pops in reverse topological order of the direct edges (po, rf
-and rule 2), so successor knowledge flows back along a causal chain in one
-sweep: a token ring saturates in linear time.
+The worklist pops in reverse topological order of the static edges, so
+successor knowledge flows back along a causal chain in one sweep: a token ring
+saturates in linear time.
 """
 
 from __future__ import annotations
@@ -42,13 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import (
-    RCV,
-    SND,
-    AbstractExecution,
-    ChannelClass,
-    classify_channels,
-)
+from .core import SND, AbstractExecution, ChannelClass, classify_channels
 
 
 @dataclass
@@ -84,52 +83,65 @@ def saturate(
     """Compute the least fixpoint of the four saturation rules.
 
     Worklist algorithm over direct-edge adjacency: popping an event flows its
-    ordering knowledge backward into its direct predecessors; rule 1 and 4
+    ordering knowledge backward into its direct predecessors, and rule 1 and 4
     triggers add a direct edge to the earliest partner per thread unless the
-    ordering is already known, and the synchronous-pair rule glues each pair's
-    knowledge together.  Aborts as soon as a self-ordering (cycle) appears.
+    ordering is already known.  Aborts as soon as a cycle appears.
 
-    The worklist is seeded in Kahn order over the direct edges, so the LIFO
-    pops sinks first.  The order cannot change the result: the rules are
-    monotone (they only lower ``succ`` entries), and an event is pushed again
-    whenever an entry it reads is lowered, so this is a chaotic iteration,
-    which under any fair order reaches the same least fixpoint.  If Kahn
-    cannot order every event, the direct edges, and so the saturated order,
-    are cyclic.  Cost: the first sweep pulls each event's direct successors'
-    rows after they were computed, O(t·(n + m) + t²·n·log n) for m direct
-    edges; an event pops again only when a derived edge or rule 3 lowers a
-    row it read, so the worst case stays O(t·n³), while a token ring
-    (nothing derived) pops each event once.
+    Rule 3 is applied to the static edges only; the fixpoint R of the other
+    rules is then closed under it.  For a synchronous pair (s, r), induction
+    on the derivation of a ≺ b in R shows (i) a = s, b ≠ r ⇒ r ≺ b and
+    (ii) b = r, a ≠ s ⇒ a ≺ s; the other two directions follow from s ≺ r.
+    Static edges have their copies, an rf edge s → r is exempt, and a
+    transitive step a ≺ b ≺ c inherits (i) from a ≺ b and (ii) from b ≺ c.
+    A derived rule 1 edge r1 → r2 into a synchronous receive comes from
+    s1 ≺ s2 between synchronous sends, which by (i) gives r1 ≺ s2; a rule 1
+    backward edge s1 → s2 out of a synchronous send comes from r1 ≺ r2, which
+    by (ii) gives r1 ≺ s2; a rule 4 edge runs from a receive to a send.
+
+    The worklist is seeded in Kahn order over the static edges, so the LIFO
+    pops sinks first; if Kahn cannot order every event, the saturated order
+    is cyclic.  The order cannot change the result: the rules are monotone
+    (they only lower ``succ`` entries) and an event is pushed again whenever
+    an entry it reads is lowered, a chaotic iteration that reaches the same
+    least fixpoint under any fair order.  Cost: the first sweep pulls each
+    event's direct successors' rows after they were computed,
+    O(t·(n + m) + t²·n·log n) for m static edges; an event pops again only
+    when a derived edge lowers a row it read, so the worst case stays
+    O(t·n³), while a token ring (nothing derived) pops each event once.
     """
     threads = x.threads
     t = len(threads)
     n = x.n
     index, thr_of, pos_of, start = x.index, x.thr_of, x.pos_of, x.start
 
+    classes = classify_channels(x, cap)
+    ch_of = [x.by_id[eid].channel for eid in index]
     big = n + 1  # sentinel: larger than any po position
     succ: list[list[int]] = [[big] * t for _ in range(n)]
     preds: list[list[int]] = [[] for _ in range(n)]
+
+    rcv_of: dict[int, int] = {}  # matched send idx -> its rcv idx
+    snd_of: dict[int, int] = {}  # matched rcv idx -> its send idx
+    for s, r in rf:
+        si, ri = index[s], index[r]
+        rcv_of[si], snd_of[ri] = ri, si
+        preds[ri].append(si)
+
+    def link(u: int, v: int) -> None:
+        """Add the static edge u → v and its rule 3 copies (from u's receive,
+        into v's send), except self-loops, a pair's own r → s and known edges."""
+        preds[v].append(u)
+        ru = rcv_of.get(u, -1) if cap[ch_of[u]] == 0 else -1
+        sv = snd_of.get(v, -1) if cap[ch_of[v]] == 0 else -1
+        for a, b in ((ru, v), (u, sv), (ru, sv)):
+            if a >= 0 and b >= 0 and a != b and snd_of.get(a) != b and a not in preds[b]:
+                preds[b].append(a)
 
     # Program order: immediate successor edges seed both succ and preds.
     for a in range(n - 1):
         if thr_of[a] == thr_of[a + 1]:
             succ[a][thr_of[a]] = pos_of[a] + 1
-            preds[a + 1].append(a)
-
-    # Reads-from edges and rule bookkeeping.
-    classes = classify_channels(x, cap)
-    by_id = x.by_id
-    rcv_of: dict[int, int] = {}  # matched send idx -> its rcv idx
-    snd_of: dict[int, int] = {}  # matched rcv idx -> its send idx
-    glue_of: dict[int, int] = {}  # sync rcv idx -> its send idx
-    sync_send: dict[int, int] = {}  # sync send idx -> its rcv idx
-    for s, r in rf:
-        si, ri = index[s], index[r]
-        preds[ri].append(si)
-        rcv_of[si], snd_of[ri] = ri, si
-        if classes[by_id[s].channel].kind == ChannelClass.SYNC:
-            glue_of[ri] = si
-            sync_send[si] = ri
+            link(a, a + 1)
 
     # Rule 2: matched sends precede unmatched sends, statically.
     sends_by_ch: dict[str, list[int]] = {}
@@ -137,15 +149,15 @@ def saturate(
         if e.op == SND:
             sends_by_ch.setdefault(e.channel, []).append(index[e.id])
     for sends in sends_by_ch.values():
+        matched = [m for m in sends if m in rcv_of]
         for u in sends:
             if u not in rcv_of:
-                preds[u].extend(m for m in sends if m in rcv_of)
+                for m in matched:
+                    link(m, u)
 
     # Partner tables: per channel and thread, the sorted po positions of the
     # matched sends, of the matched receives and, on capacity-1 channels, of
     # all sends.  The event at position p of thread ti has index start[ti] + p.
-    ch_of = [by_id[eid].channel for eid in index]
-
     def positions(idxs) -> dict[str, list[list[int]]]:
         tab: dict[str, list[list[int]]] = {}
         for i in sorted(idxs):
@@ -160,8 +172,8 @@ def saturate(
         for i in sends_by_ch.get(ch, ())
     )
 
-    # Kahn order over the direct edges, sinks first; an event left out lies
-    # on a cycle of direct edges.
+    # Kahn order over the static edges, sinks first; an event left out lies
+    # on a cycle of static edges.
     outdeg = [0] * n
     for ps in preds:
         for p in ps:
@@ -172,17 +184,14 @@ def saturate(
             outdeg[p] -= 1
             if not outdeg[p]:
                 work.append(p)
-    if len(work) < n:
-        return SaturatedOrder(threads, True, index, thr_of, pos_of, succ)
+    cyclic = len(work) < n
     work.reverse()  # the LIFO pops sinks first
-    cyclic = False
     in_list = [True] * n
 
     def flow(p: int, a: int) -> bool:
         """Record p ≺ a and pull a's successor knowledge into p."""
         changed = False
-        sp = succ[p]
-        sa = succ[a]
+        sp, sa = succ[p], succ[a]
         for ti in range(t):
             v = sa[ti]
             if v < sp[ti]:
@@ -192,19 +201,6 @@ def saturate(
         if pa < sp[ta]:
             sp[ta] = pa
             changed = True
-        g = glue_of.get(a)
-        if g is not None and g != p:
-            # Rule 3 backward: p ≺ rcv implies p ≺ snd (and snd's successors).
-            sg = succ[g]
-            for ti in range(t):
-                v = sg[ti]
-                if v < sp[ti]:
-                    sp[ti] = v
-                    changed = True
-            tg, pg = thr_of[g], pos_of[g]
-            if pg < sp[tg]:
-                sp[tg] = pg
-                changed = True
         return changed
 
     def push(a: int) -> None:
@@ -248,25 +244,6 @@ def saturate(
                 derive(s1, snd_of[r2])
         if cyclic:
             break
-        # Rule 3 forward: snd ≺ e implies rcv ≺ e.
-        ri = sync_send.get(a)
-        if ri is not None:
-            sr = succ[ri]
-            sa = succ[a]
-            tr, pr = thr_of[ri], pos_of[ri]
-            changed = False
-            for ti in range(t):
-                v = sa[ti]
-                if ti == tr and v == pr:
-                    continue  # that successor is the receive itself
-                if v < sr[ti]:
-                    sr[ti] = v
-                    changed = True
-            if changed:
-                if sr[tr] <= pr:
-                    cyclic = True
-                    break
-                push(ri)
         # Transitive backward propagation to direct predecessors.
         for p in preds[a]:
             if flow(p, a):

@@ -23,7 +23,6 @@ from chanlin import (
     Ok,
     Violation,
     brute_force,
-    build_send_receive_graph,
     check_well_formed,
     emit_smtlib,
     make_instance,
@@ -93,9 +92,7 @@ class TestCriterion1FigureVerdicts:
         assert_valid_witness(three, v)
 
         tri = parse_instance((fixtures / "sync_triangle_positive.vchk").read_text())
-        g = build_send_receive_graph(tri.abstract, tri.rf)
-        assert len(g.nodes) == 4 and len(g.edges) == 5
-        assert solve_sync(tri.abstract, tri.cap_map, tri.rf).consistent
+        assert_valid_witness(tri, solve_sync(tri.abstract, tri.cap_map, tri.rf))
 
         assert time.monotonic() - t0 < 1.0
 

@@ -17,6 +17,23 @@ def run(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
 
+def assert_buffers_freed(args, code, line):
+    """Run ``main(args)`` in-process with redirected stdout and stderr; check
+    the exit code and printed line, then that neither buffer stays alive."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = main(args, standalone_mode=False)
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code
+    assert line in (out if code == 0 else err).getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
 class TestCheck:
     def test_trace_ok(self, fixtures):
         r = run("check", fixtures / "trace_async_ok.vchk")
@@ -114,16 +131,19 @@ class TestCheck:
         ],
     )
     def test_in_process_output_buffers_are_freed(self, fixtures, name, code, line):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with pytest.raises(SystemExit) as exc:
-                main(["check", str(fixtures / name)], standalone_mode=False)
-        assert exc.value.code == code
-        assert line in (out if code == 0 else err).getvalue()
-        refs = [weakref.ref(out), weakref.ref(err)]
-        del out, err, exc
-        gc.collect()
-        assert [r() for r in refs] == [None, None]
+        assert_buffers_freed(["check", str(fixtures / name)], code, line)
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["--version"], "version 0.1.0"),
+            (["--help"], "Usage: "),
+            (["check", "--help"], "Usage: "),
+        ],
+    )
+    def test_in_process_help_and_version_buffers_are_freed(self, args, line):
+        # click prints these itself, through its own echo, unless told otherwise.
+        assert_buffers_freed(args, 0, line)
 
     def test_no_saturation_flag(self, fixtures):
         r = run("check", fixtures / "two_thread_cap1_negative_rf.vchk", "--algo", "frontier-rf", "--no-saturation")

@@ -1,4 +1,4 @@
-"""Fast paths: send-receive graph, 2SAT engine, acyclic-topology solver."""
+"""Fast paths: rendezvous-block sort, 2SAT engine, acyclic-topology solver."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from chanlin import (
     INF,
     TwoSatFormula,
     brute_force,
-    build_send_receive_graph,
     communication_topology,
     encode_2sat,
     make_instance,
@@ -52,34 +51,6 @@ def sync_instance(rng, threads=3, channels=2, pairs_max=4):
     return make_instance("abstract", events, cap, tuple(sorted(rf)))
 
 
-class TestSendReceiveGraph:
-    def test_triangle_fixture(self, fixtures):
-        inst = parse_instance((fixtures / "sync_triangle_positive.vchk").read_text())
-        g = build_send_receive_graph(inst.abstract, inst.rf)
-        assert len(g.nodes) == 4
-        assert len(g.edges) == 5
-
-    def test_edges_match_quadratic_oracle(self):
-        rng = random.Random(21)
-        for _ in range(80):
-            inst = sync_instance(rng)
-            x = inst.abstract
-            g = build_send_receive_graph(x, inst.rf)
-            node_of = {}
-            for i, (s, r) in enumerate(g.nodes):
-                node_of[s] = i
-                node_of[r] = i
-            pos = {eid: (th, p) for th, seq in x.po.items() for p, eid in enumerate(seq)}
-            expect = set()
-            for a in x.by_id:
-                for b in x.by_id:
-                    ta, pa = pos[a]
-                    tb, pb = pos[b]
-                    if ta == tb and pb == pa + 1 and node_of[a] != node_of[b]:
-                        expect.add((node_of[a], node_of[b]))
-            assert set(g.edges) == expect
-
-
 class TestSolveSync:
     def test_matches_brute_force(self):
         rng = random.Random(22)
@@ -107,6 +78,62 @@ class TestSolveSync:
         events = [Event(1, "t1", "snd", "c"), Event(2, "t1", "rcv", "c")]
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 2)])
         assert not solve_sync(inst.abstract, inst.cap_map, inst.rf).consistent
+
+    def test_triangle_fixture_block_order(self, fixtures):
+        # Blocks (1,4), (7,2), (3,5), (6,8) in po order: ties would go by the
+        # dense index of each block's send.
+        inst = parse_instance((fixtures / "sync_triangle_positive.vchk").read_text())
+        v = solve_sync(inst.abstract, inst.cap_map, inst.rf)
+        assert_valid_witness(inst, v)
+        assert v.witness == (1, 4, 7, 2, 3, 5, 6, 8)
+
+    def test_consistent_iff_contracted_po_graph_acyclic(self):
+        rng = random.Random(21)
+        outcomes = set()
+        for _ in range(200):
+            inst = sync_instance(rng, pairs_max=6)
+            x = inst.abstract
+            node_of = {}
+            for s, r in inst.rf:
+                node_of[s] = node_of[r] = s
+            pos = {eid: (th, p) for th, seq in x.po.items() for p, eid in enumerate(seq)}
+            edges = set()
+            for a in x.by_id:
+                for b in x.by_id:
+                    ta, pa = pos[a]
+                    tb, pb = pos[b]
+                    if ta == tb and pb == pa + 1 and node_of[a] != node_of[b]:
+                        edges.add((node_of[a], node_of[b]))
+            nodes = set(node_of.values())
+            while True:  # peel off nodes with no incoming edge
+                sources = {u for u in nodes if not any(v == u for _, v in edges)}
+                if not sources:
+                    break
+                nodes -= sources
+                edges = {(u, v) for u, v in edges if u not in sources}
+            got = solve_sync(x, inst.cap_map, inst.rf)
+            assert got.consistent == (not nodes)
+            outcomes.add(got.consistent)
+            if got.consistent:
+                assert_valid_witness(inst, got)
+            else:
+                assert got.reason == "rendezvous blocks form a program-order cycle"
+        assert outcomes == {True, False}
+
+    def test_pipeline_twin_reports_block_cycle(self):
+        # A forward pipeline whose receiver takes the last handshake first:
+        # snd_0 ≺po snd_3, rcv_3 ≺po rcv_0 and each pair is one block.
+        n_pairs = 4
+        cap = {f"s{i}": 0.0 for i in range(n_pairs)}
+        events = [Event(2 * i + 1, "t1", "snd", f"s{i}") for i in range(n_pairs)]
+        rcvs = [Event(2 * i + 2, "t2", "rcv", f"s{i}") for i in range(n_pairs)]
+        events += [rcvs[-1]] + rcvs[:-1]
+        rf = [(2 * i + 1, 2 * i + 2) for i in range(n_pairs)]
+        inst = make_instance("abstract", events, cap, rf)
+        v = solve_sync(inst.abstract, inst.cap_map, inst.rf)
+        assert v.outcome == "inconsistent" and v.explored == 0
+        assert v.reason == "rendezvous blocks form a program-order cycle"
+        assert not brute_force(inst.abstract, inst.cap_map, inst.rf).consistent
 
 
 class TestTwoSat:

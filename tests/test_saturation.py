@@ -13,6 +13,7 @@ from chanlin import (
     brute_force,
     classify_channels,
     make_instance,
+    rf_defect,
     saturate,
     solve_vchrf_saturated,
 )
@@ -166,6 +167,51 @@ class TestAgainstNaiveFixpoint:
                 for th, seq in x.po.items():
                     preds = sum(1 for f in seq if (f, e) in rel)
                     assert need[tidx[th]] == preds, (e, th)
+
+
+class TestRendezvousRule:
+    """Rule 3 as static edges: each po or rule 2 edge is copied from a
+    synchronous send's receive and into a synchronous receive's send, for all
+    four end pairs."""
+
+    def test_po_edge_between_two_pairs_orders_receive_before_send(self):
+        # t3 runs snd 5 then rcv 6; pair (5, 4) must complete before pair
+        # (1, 6) starts, so 4 ≺ 1, which needs the copy from 5's receive into
+        # 6's send of the po edge 5 → 6.
+        events = [
+            Event(1, "t2", "snd", "c"),
+            Event(4, "t4", "rcv", "c"),
+            Event(5, "t3", "snd", "c"),
+            Event(6, "t3", "rcv", "c"),
+        ]
+        inst = make_instance("abstract", events, {"c": 0.0}, [(1, 6), (5, 4)])
+        order = saturate(inst.abstract, inst.cap_map, inst.rf)
+        assert not order.cyclic
+        assert order.query(4, 1)
+        assert not assert_matches_naive(inst)
+        assert solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf).consistent
+
+    def test_rule_2_edge_is_copied_from_the_receive(self):
+        # Rule 2 gives 2 ≺ 3 (matched before unmatched send), and rule 3 then
+        # 1 ≺ 3.  rf_defect rejects the unmatched synchronous send, but
+        # saturate takes any input.
+        events = [
+            Event(1, "t1", "rcv", "c"),
+            Event(2, "t2", "snd", "c"),
+            Event(3, "t3", "snd", "c"),
+        ]
+        inst = make_instance("abstract", events, {"c": 0.0}, [(2, 1)])
+        assert rf_defect(inst.abstract, inst.cap_map, inst.rf) is not None
+        order = saturate(inst.abstract, inst.cap_map, inst.rf)
+        assert not order.cyclic
+        assert order.query(2, 3) and order.query(1, 3)
+        assert not assert_matches_naive(inst)
+
+    def test_synchronous_heavy_instances(self):
+        rng = random.Random(13)
+        caps = (0.0, 0.0, 1.0, INF)
+        for _ in range(1000):
+            assert_matches_naive(rand_instance(rng, True, n_max=12, t_max=4, caps=caps))
 
 
 class TestDirectEdgeCycles:
