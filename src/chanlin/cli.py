@@ -306,10 +306,8 @@ def stats(input: str) -> None:
     inst = _load(input)
     _echo_shape(inst)
     x = inst.abstract
-    classes = classify_channels(x, inst.cap_map)
-    for ch in sorted(classes):
-        cl = classes[ch]
-        desc = f"bounded({cl.bound})" if cl.bound is not None else cl.kind
+    for ch, c in sorted(classify_channels(x, inst.cap_map).items()):
+        desc = "sync" if c == 0 else "unbounded" if c == INF else f"bounded({format_cap(c)})"
         _echo(f"class_{ch}: {desc}")
     topo = communication_topology(x)
     _echo(f"topology_acyclic: {'true' if topo.acyclic else 'false'}")

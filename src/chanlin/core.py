@@ -16,7 +16,7 @@ byte-deterministic under :func:`serialize_instance`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -110,18 +110,6 @@ class AbstractExecution:
     @property
     def n(self) -> int:
         return len(self.events)
-
-
-@dataclass(frozen=True)
-class ChannelClass:
-    """Sync | Bounded(c) | EffectivelyUnbounded, per instance send counts."""
-
-    kind: str  # "sync" | "bounded" | "unbounded"
-    bound: int | None = None
-
-    SYNC = "sync"
-    BOUNDED = "bounded"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -559,21 +547,29 @@ def derive_abstract(trace: Sequence[Event]) -> tuple[AbstractExecution, RfPairs]
 # ---------------------------------------------------------------------------
 
 
-def classify_channels(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, ChannelClass]:
-    """Classify every channel of ``cap`` relative to the instance's sends."""
-    send_counts: dict[str, int] = defaultdict(int)
-    for e in x.events:
+def classify_channels(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, float]:
+    """Effective capacity per channel of ``cap``: 0 if synchronous, ``INF`` if
+    its sends can never fill it, else its capacity (below its send count)."""
+    sends = Counter(e.channel for e in x.events if e.op == SND)
+    return {ch: c if c == 0 or sends[ch] > c else INF for ch, c in cap.items()}
+
+
+def pending_edges(x: AbstractExecution, rf: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Send pairs (m, u) that stand for rule 2, matched sends before unmatched
+    (still pending) sends of a channel: per channel and pair of threads, the
+    po-last matched send of one and the po-first unmatched send of the other,
+    so at most t² pairs.  Any other matched m and unmatched u have m ≤po m'
+    and u' ≤po u for the pair (m', u') of their threads: po gives the rest."""
+    matched = {s for s, _ in rf}
+    last: dict[str, dict[str, int]] = defaultdict(dict)  # channel -> thread -> send
+    first: dict[str, dict[str, int]] = defaultdict(dict)
+    for e in x.events:  # canonical order: po order within each thread
         if e.op == SND:
-            send_counts[e.channel] += 1
-    out: dict[str, ChannelClass] = {}
-    for ch, c in cap.items():
-        if c == 0:
-            out[ch] = ChannelClass(ChannelClass.SYNC)
-        elif c == INF or send_counts[ch] <= c:
-            out[ch] = ChannelClass(ChannelClass.UNBOUNDED)
-        else:
-            out[ch] = ChannelClass(ChannelClass.BOUNDED, int(c))
-    return out
+            if e.id in matched:
+                last[e.channel][e.thread] = e.id
+            else:
+                first[e.channel].setdefault(e.thread, e.id)
+    return [(m, u) for ch, us in first.items() for m in last[ch].values() for u in us.values()]
 
 
 def communication_topology(x: AbstractExecution) -> Topology:

@@ -26,14 +26,16 @@ from typing import Mapping, Sequence
 from .core import (
     CONSISTENT,
     INCONSISTENT,
+    INF,
     SND,
     AbstractExecution,
     AlgorithmRefused,
-    ChannelClass,
     Event,
     Verdict,
     classify_channels,
     communication_topology,
+    format_cap,
+    pending_edges,
     rf_defect,
 )
 
@@ -212,15 +214,15 @@ def solve_2sat(f: TwoSatFormula) -> list[bool] | None:
 # ---------------------------------------------------------------------------
 
 
-def _classify(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, ChannelClass]:
-    """Classify the channels; refuse the first one, in sorted order, that is
-    bounded with capacity 2 or more."""
-    classes = classify_channels(x, cap)
+def _classify(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, float]:
+    """The effective capacities; refuse the first channel, in sorted order,
+    whose effective capacity is neither 0, 1 nor ``INF``."""
+    eff_cap = classify_channels(x, cap)
     for ch in x.channels:
-        cl = classes[ch]
-        if cl.kind == ChannelClass.BOUNDED and cl.bound != 1:
-            raise AlgorithmRefused(f"channel {ch!r} has capacity {cl.bound} >= 2")
-    return classes
+        c = eff_cap[ch]
+        if c not in (0, 1, INF):
+            raise AlgorithmRefused(f"channel {ch!r} has capacity {format_cap(c)} >= 2")
+    return eff_cap
 
 
 def encode_2sat(
@@ -248,16 +250,23 @@ def encode_2sat(
     predecessor and successor.  Only ``(a<b) → (pa<b)`` and ``(a<b) → (a<sb)``
     remain, which are variable v implying v − w and v + 1.
 
+    Matched before unmatched sends is one literal per pair (m', u') of
+    :func:`~chanlin.core.pending_edges`; the clause of any matched m ≤po m' and
+    unmatched u ≥po u' follows.  With m' in the first thread, ``m'<u'`` gives
+    ``m<u`` by v → v − w, then v → v + 1 steps; with m' in the second, the
+    literal is ``¬(u'<m')`` and the same steps give ``(u<m) → (u'<m')``.  So
+    the models are those of every matched × unmatched pair.
+
     In a single-thread instance every literal is a po constant, and each rule
-    holds iff it holds between po-consecutive sends (matched before unmatched,
-    capacity 1) or po-consecutive rf pairs (FIFO); only those clauses are
-    emitted, so such an instance costs linear time.  In a two-thread instance
-    every pair is compared, also on a channel that one thread uses alone;
-    :func:`solve_acyclic` builds no such projection.
+    holds iff it holds between po-consecutive sends (capacity 1),
+    po-consecutive rf pairs (FIFO) or the channel's one pending pair; only
+    those clauses are emitted, so such an instance costs linear time.  In a
+    two-thread instance every pair is compared, also on a channel that one
+    thread uses alone; :func:`solve_acyclic` builds no such projection.
     """
     if len(x.threads) > 2:
         raise AlgorithmRefused("2SAT encoding requires at most two threads")
-    classes = _classify(x, cap)
+    eff_cap = _classify(x, cap)
 
     by_id, index, thr_of, pos_of = x.by_id, x.index, x.thr_of, x.pos_of
     ids = list(index)  # event ids in dense order
@@ -291,23 +300,20 @@ def encode_2sat(
             sends_by_ch[ev.channel].append(e)
     private = len(x.threads) == 1
     near = 1 if private else n  # how many later sends or pairs to compare
+    for m, u in pending_edges(x, rf):  # matched sends before unmatched sends
+        f.add(lit(m, u))
     for ch in x.channels:
         sends = sends_by_ch[ch]  # in dense order, so po-ordered per thread
         table = [(s, rcv_of[s]) for s in sends if s in rcv_of]
 
-        # Matched sends before unmatched sends; FIFO between pairs.
-        for i, s in enumerate(sends):
-            for s2 in sends[i + 1 : i + 1 + near]:
-                if (s in rcv_of) != (s2 in rcv_of):
-                    f.add(lit(s, s2) if s in rcv_of else lit(s2, s))
+        # FIFO between pairs.
         for i, (e, e2) in enumerate(table):
             for g, g2 in table[i + 1 : i + 1 + near]:
                 a, b = lit(e, g), lit(e2, g2)
                 f.add(_neg(a), b)
                 f.add(_neg(b), a)
 
-        cl = classes[ch]
-        if cl.kind == ChannelClass.BOUNDED:  # capacity 1: _classify refused the rest
+        if eff_cap[ch] == 1:
             # At most one send may stay unmatched (it occupies the slot
             # forever), and a later send evicts only after the receive.
             if len(sends) - len(table) > 1:
@@ -317,7 +323,7 @@ def encode_2sat(
                     later = sends[i + 1 : i + 1 + near]
                     for e2 in later if private else sends[:i] + later:
                         f.add(_neg(lit(e, e2)), lit(rcv_of[e], e2))
-        elif cl.kind == ChannelClass.SYNC:
+        elif eff_cap[ch] == 0:
             # Nothing fits between a synchronous send and its receive: the
             # receive precedes the send's po successor, and the receive's po
             # predecessor precedes the send.

@@ -20,10 +20,12 @@ r2 ≺ r2', so by induction on po distance r1 ≺ r2 reaches every later partner
 in that thread; rule 4's later sends follow s2 in po, and rule 1 backward runs
 the same chain over receives.  The least fixpoint is unchanged.
 
-Rules 2 and 3 give static edges.  Rule 3 copies each po or rule 2 edge u → v
-to start at u's receive when u is a synchronous send and to end at v's send
-when v is a synchronous receive; derived edges need no copies (see
-:func:`saturate`).
+Rules 2 and 3 give static edges.  Rule 2 links only the t² pairs per channel
+of :func:`~chanlin.core.pending_edges`; po orders every other matched send
+before every unmatched one through them, so the fixpoint is unchanged.  Rule 3
+copies each po or rule 2 edge u → v to start at u's receive when u is a
+synchronous send and to end at v's send when v is a synchronous receive;
+derived edges need no copies (see :func:`saturate`).
 
 A cycle in the saturated order certifies inconsistency; otherwise every
 concretization must respect the order, which licenses aggressive pruning of
@@ -47,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import SND, AbstractExecution, ChannelClass, classify_channels
+from .core import SND, AbstractExecution, classify_channels, pending_edges
 
 
 @dataclass
@@ -103,9 +105,10 @@ def saturate(
     is cyclic.  The order cannot change the result: the rules are monotone
     (they only lower ``succ`` entries) and an event is pushed again whenever
     an entry it reads is lowered, a chaotic iteration that reaches the same
-    least fixpoint under any fair order.  Cost: the first sweep pulls each
-    event's direct successors' rows after they were computed,
-    O(t·(n + m) + t²·n·log n) for m static edges; an event pops again only
+    least fixpoint under any fair order.  Cost: the m static edges are
+    O(n + t²·channels) (po, rf, rule 2 pairs and at most three rule 3 copies
+    of each); the first sweep pulls each event's direct successors' rows after
+    they were computed, O(t·(n + m) + t²·n·log n); an event pops again only
     when a derived edge lowers a row it read, so the worst case stays
     O(t·n³), while a token ring (nothing derived) pops each event once.
     """
@@ -114,7 +117,7 @@ def saturate(
     n = x.n
     index, thr_of, pos_of, start = x.index, x.thr_of, x.pos_of, x.start
 
-    classes = classify_channels(x, cap)
+    eff_cap = classify_channels(x, cap)
     ch_of = [x.by_id[eid].channel for eid in index]
     big = n + 1  # sentinel: larger than any po position
     succ: list[list[int]] = [[big] * t for _ in range(n)]
@@ -131,6 +134,8 @@ def saturate(
         """Add the static edge u → v and its rule 3 copies (from u's receive,
         into v's send), except self-loops, a pair's own r → s and known edges."""
         preds[v].append(u)
+        if cap[ch_of[u]] != 0 and cap[ch_of[v]] != 0:
+            return
         ru = rcv_of.get(u, -1) if cap[ch_of[u]] == 0 else -1
         sv = snd_of.get(v, -1) if cap[ch_of[v]] == 0 else -1
         for a, b in ((ru, v), (u, sv), (ru, sv)):
@@ -143,17 +148,9 @@ def saturate(
             succ[a][thr_of[a]] = pos_of[a] + 1
             link(a, a + 1)
 
-    # Rule 2: matched sends precede unmatched sends, statically.
-    sends_by_ch: dict[str, list[int]] = {}
-    for e in x.events:
-        if e.op == SND:
-            sends_by_ch.setdefault(e.channel, []).append(index[e.id])
-    for sends in sends_by_ch.values():
-        matched = [m for m in sends if m in rcv_of]
-        for u in sends:
-            if u not in rcv_of:
-                for m in matched:
-                    link(m, u)
+    # Rule 2: matched sends precede unmatched sends, one edge per thread pair.
+    for m, u in pending_edges(x, rf):
+        link(index[m], index[u])
 
     # Partner tables: per channel and thread, the sorted po positions of the
     # matched sends, of the matched receives and, on capacity-1 channels, of
@@ -165,12 +162,7 @@ def saturate(
         return tab
 
     snd_tab, rcv_tab = positions(rcv_of), positions(snd_of)
-    cap1_tab = positions(
-        i
-        for ch, cl in classes.items()
-        if cl.kind == ChannelClass.BOUNDED and cl.bound == 1
-        for i in sends_by_ch.get(ch, ())
-    )
+    cap1_tab = positions(index[e.id] for e in x.events if e.op == SND and eff_cap[e.channel] == 1)
 
     # Kahn order over the static edges, sinks first; an event left out lies
     # on a cycle of static edges.

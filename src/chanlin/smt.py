@@ -8,6 +8,11 @@ obey FIFO, matched sends precede unmatched ones, and every prefix satisfies
 the capacity sandwich ``y_rcv <= y_snd <= y_rcv + cap``.  The formula is
 satisfiable iff the instance is consistent.
 
+Matched before unmatched sends is asserted for the pairs of
+:func:`~chanlin.core.pending_edges` only; the program-order asserts
+``x_p < x_{p+1}`` give the other pairs by transitivity, so the models are the
+same.
+
 Optionally the saturated order strengthens the formula with derived ``<``
 constraints; a saturation cycle collapses it to ``(assert false)``.
 """
@@ -18,7 +23,7 @@ import shlex
 import subprocess
 from typing import Mapping, Sequence
 
-from .core import INF, RCV, SND, AbstractExecution, format_cap
+from .core import INF, RCV, SND, AbstractExecution, format_cap, pending_edges
 from .saturation import saturate
 
 SAT = "sat"
@@ -71,8 +76,7 @@ def emit_smtlib(
         else:
             lines.append(f"(assert (< x_{s} x_{r}))")
 
-    # FIFO between matched pairs; matched sends precede unmatched sends.
-    matched = {s for s, _ in rf}
+    # FIFO between matched pairs, then matched sends before unmatched sends.
     pairs_by_ch: dict[str, list[tuple[int, int]]] = {}
     sends_by_ch: dict[str, list[int]] = {ch: [] for ch in channels}
     rcvs_by_ch: dict[str, list[int]] = {ch: [] for ch in channels}
@@ -85,11 +89,8 @@ def emit_smtlib(
         for i, (s, r) in enumerate(table):
             for s2, r2 in table[i + 1 :]:
                 lines.append(f"(assert (= (< x_{s} x_{s2}) (< x_{r} x_{r2})))")
-        unmatched = [s for s in sends_by_ch[ch] if s not in matched]
-        for s in sends_by_ch[ch]:
-            if s in matched:
-                for u in unmatched:
-                    lines.append(f"(assert (< x_{s} x_{u}))")
+    for m, u in pending_edges(x, rf):
+        lines.append(f"(assert (< x_{m} x_{u}))")
 
     # Prefix counters and capacity sandwich.
     for ch in channels:

@@ -270,6 +270,25 @@ class TestCriterion5SaturationScaling:
         assert v.explored == inst.n + 1
         assert elapsed < 3
 
+    def test_pending_tail(self):
+        # A cut history: t1 and t2 each send 2 000 messages on one unbounded
+        # channel and t3 receives the first 1 000 of each, so 2 000 sends stay
+        # pending.  Rule 2 as one edge per thread pair keeps saturation linear
+        # here; all matched × unmatched pairs took about 6 s.
+        n = 2000
+        events = [Event(i, f"t{1 + i // (n + 1)}", "snd", "c") for i in range(1, 2 * n + 1)]
+        received = list(range(1, n // 2 + 1)) + list(range(n + 1, n + n // 2 + 1))
+        rf = [(s, 2 * n + k) for k, s in enumerate(received, start=1)]
+        events += [Event(r, "t3", "rcv", "c") for _, r in rf]
+        inst = make_instance("abstract", events, {"c": INF}, rf)
+        assert inst.n == 6000
+        t0 = time.monotonic()
+        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        elapsed = time.monotonic() - t0
+        assert v.consistent
+        assert v.explored == 7001
+        assert elapsed < 2
+
 
 class TestCriterion6MutationStatistics:
     def test_majority_inconsistent(self):

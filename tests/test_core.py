@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from chanlin import (
     INF,
     AbstractExecution,
-    ChannelClass,
     Event,
     Ok,
     ParseError,
@@ -27,6 +27,7 @@ from chanlin import (
     parse_instance,
     serialize_instance,
 )
+from chanlin.core import pending_edges
 from .conftest import rand_instance
 
 
@@ -232,12 +233,34 @@ class TestClassification:
             Event(3, "t", "snd", "b", "1"),
             Event(4, "t", "snd", "b", "1"),
         ]
-        x = make_instance("abstract", events, {"a": 0.0, "b": 2.0, "c": 5.0}).abstract
-        classes = classify_channels(x, {"a": 0.0, "b": 2.0, "c": 5.0})
-        assert classes["a"].kind == ChannelClass.SYNC
-        assert classes["b"] == ChannelClass(ChannelClass.BOUNDED, 2)
+        cap = {"a": 0.0, "b": 2.0, "c": 5.0}
+        x = make_instance("abstract", events, cap).abstract
         # No sends exceed capacity 5, so c is effectively unbounded.
-        assert classes["c"].kind == ChannelClass.UNBOUNDED
+        assert classify_channels(x, cap) == {"a": 0, "b": 2, "c": INF}
+
+    def test_pending_edges_stand_for_every_matched_unmatched_pair(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            inst = rand_instance(rng, True, n_max=12, t_max=4, caps=(0.0, 1.0, 2.0, 3.0, INF))
+            x, rf = inst.abstract, inst.rf
+            matched = {s for s, _ in rf}
+            pos = {eid: p for seq in x.po.values() for p, eid in enumerate(seq)}
+
+            def po_le(a: int, b: int) -> bool:
+                return x.by_id[a].thread == x.by_id[b].thread and pos[a] <= pos[b]
+
+            edges = pending_edges(x, rf)
+            per_channel = Counter()
+            for m, u in edges:
+                em, eu = x.by_id[m], x.by_id[u]
+                assert em.op == eu.op == "snd" and em.channel == eu.channel
+                assert m in matched and u not in matched
+                per_channel[em.channel] += 1
+            assert all(k <= len(x.threads) ** 2 for k in per_channel.values())
+            sends = [e for e in x.events if e.op == "snd"]
+            for m in (e for e in sends if e.id in matched):
+                for u in (e for e in sends if e.id not in matched and e.channel == m.channel):
+                    assert any(po_le(m.id, m2) and po_le(u2, u.id) for m2, u2 in edges)
 
     def test_topology_acyclic_pair(self):
         events = [Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "c")]

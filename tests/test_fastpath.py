@@ -180,12 +180,10 @@ class TestTwoSat:
 
 class TestSolveAcyclic:
     def _applicable(self, inst):
-        from chanlin import ChannelClass, classify_channels, communication_topology
+        from chanlin import classify_channels, communication_topology
 
-        classes = classify_channels(inst.abstract, inst.cap_map)
-        if any(
-            cl.kind == ChannelClass.BOUNDED and cl.bound != 1 for cl in classes.values()
-        ):
+        eff_cap = classify_channels(inst.abstract, inst.cap_map)
+        if any(c not in (0, 1, INF) for c in eff_cap.values()):
             return False
         return communication_topology(inst.abstract).acyclic
 

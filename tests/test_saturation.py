@@ -8,7 +8,6 @@ from collections import defaultdict
 
 from chanlin import (
     INF,
-    ChannelClass,
     Event,
     brute_force,
     classify_channels,
@@ -17,6 +16,7 @@ from chanlin import (
     saturate,
     solve_vchrf_saturated,
 )
+from chanlin.generators import random_positive
 from .conftest import CAP_MENU, rand_instance, token_ring
 
 
@@ -24,7 +24,7 @@ def naive_saturation(x, cap, rf):
     """Reference fixpoint over an explicit pair set; returns (cyclic, pairs)."""
     ids = [e.id for e in x.events]
     by_id = x.by_id
-    classes = classify_channels(x, cap)
+    eff_cap = classify_channels(x, cap)
     rel: set[tuple[int, int]] = set()
     for seq in x.po.values():
         for i in range(len(seq)):
@@ -65,7 +65,7 @@ def naive_saturation(x, cap, rf):
                     if (r1, r2) in rel and (s1, s2) not in rel:
                         rel.add((s1, s2))
                         changed = True
-            if classes[ch].kind == ChannelClass.SYNC:
+            if eff_cap[ch] == 0:
                 for s, r in table:
                     for e in ids:
                         if e in (s, r):
@@ -82,7 +82,7 @@ def naive_saturation(x, cap, rf):
                         if (r, e) in rel and (s, e) not in rel:
                             rel.add((s, e))
                             changed = True
-            if classes[ch].kind == ChannelClass.BOUNDED and classes[ch].bound == 1:
+            if eff_cap[ch] == 1:
                 for s1, r1 in table:
                     for s2 in sends_by_ch[ch]:
                         if s2 != s1 and (s1, s2) in rel and (r1, s2) not in rel:
@@ -112,6 +112,23 @@ class TestAgainstNaiveFixpoint:
         rng = random.Random(7)
         for _ in range(120):
             assert_matches_naive(rand_instance(rng, with_rf=True, n_max=7))
+
+    def test_pending_sends_on_every_capacity(self):
+        # Consistent histories with about 30% of their rf pairs dropped, so
+        # sends stay pending on every capacity, synchronous ones included, and
+        # a thread often holds matched sends on both sides of a pending one.
+        rng = random.Random(17)
+        pending_caps = set()
+        for seed in range(300):
+            n, t, m = 2 * rng.randint(2, 6), rng.randint(2, 3), rng.randint(1, 2)
+            base, _ = random_positive(n, t, m, CAP_MENU, seed)  # n even: handshakes fill it
+            rf = [p for p in base.rf if rng.random() >= 0.3]
+            inst = make_instance("abstract", base.events, base.cap_map, rf)
+            matched = {s for s, _ in rf}
+            pending = (e for e in inst.events if e.op == "snd" and e.id not in matched)
+            pending_caps.update(inst.cap_map[e.channel] for e in pending)
+            assert_matches_naive(inst)
+        assert pending_caps == set(CAP_MENU)
 
     def test_partners_sharing_a_thread(self):
         # Up to 12 events over up to 4 threads, so one thread often holds
