@@ -3,12 +3,18 @@
 A frontier state summarizes a po-downward-closed set of executed events as a
 plain tuple ``(counts, queues, pending)``: per-thread counters, the pending
 (sent, not yet received) contents of every asynchronous channel as FIFO
-queues of send event ids, and at most one pending synchronous send.  The
-instance is consistent iff a sink state (all events executed, no pending
-synchronous send) is reachable from the empty source state.  The graph is
-never materialized: depth-first search expands states on the fly, and the
-state tuple itself is the key of the one table, which maps each generated
-state to its parent and the event that led to it.
+queues of send event ids, and the thread whose last executed event is a
+pending synchronous send, or None; given ``counts``, that thread names the
+send.  The instance is consistent iff a sink state (all events executed, no
+pending synchronous send) is reachable from the empty source state.
+
+Depth-first search expands states on the fly.  It keeps one ``seen`` set, a
+stack of ``(state, event)`` pairs and one ``path`` list, which is the witness.
+Children are marked seen when pushed, and pushed in reverse thread order.
+Every state popped between X's parent and X is a sibling pushed after X, or a
+descendant of one, so its depth is at least X's depth d = ``sum(counts)``
+(each move executes one event).  So setting ``path[d - 1]`` to X's event when
+X is popped keeps ``path[:d]`` the chain of events from the source to X.
 
 Safe receives (rf mode only).  In a state with no pending synchronous send,
 if some thread's next event is an enabled, saturation-ready receive on an
@@ -107,7 +113,6 @@ def _search(
 ) -> Verdict:
     threads = x.threads
     t = len(threads)
-    by_id = x.by_id
     async_chs = sorted({e.channel for e in x.events if cap[e.channel] > 0})
     ch_index = {ch: i for i, ch in enumerate(async_chs)}
 
@@ -118,12 +123,6 @@ def _search(
         tag = {e.id: e.id if e.op == SND else src_of.get(e.id) for e in x.events}
     else:
         tag = {e.id: e.value for e in x.events}
-    index, thr_of = x.index, x.thr_of
-    sync_of = {
-        e.id: (e.channel, thr_of[index[e.id]])
-        for e in x.events
-        if e.op == SND and cap[e.channel] == 0
-    }
 
     # Per thread position: (id, is send, channel, queue slot or -1 when
     # synchronous, capacity, tag, saturated predecessor counts or None when
@@ -137,11 +136,11 @@ def _search(
                 ch_index.get(e.channel, -1),
                 cap[e.channel],
                 tag[e.id],
-                order.pred_counts[index[e.id]]
+                order.pred_counts[x.index[e.id]]
                 if order is not None and (e.op == SND or cap[e.channel] == 0)
                 else None,
             )
-            for e in (by_id[i] for i in x.po[th])
+            for e in (x.by_id[i] for i in x.po[th])
         ]
         for th in threads
     ]
@@ -149,23 +148,18 @@ def _search(
     safe = rf is not None
 
     source = ((0,) * t, ((),) * len(async_chs), None)
-    parents: dict[tuple, tuple[tuple, int] | None] = {source: None}
-    stack = [source]
+    seen = {source}
+    stack: list[tuple[tuple, int]] = [(source, 0)]
+    path = [0] * sum(lens)
     while stack:
-        state = stack.pop()
-        counts, queues, pending = state
+        (counts, queues, pending), event = stack.pop()
+        d = sum(counts)
+        if d:
+            path[d - 1] = event
         if pending is None and counts == lens:
-            trace: list[int] = []
-            cur = parents[state]
-            while cur is not None:
-                state, eid = cur
-                trace.append(eid)
-                cur = parents[state]
-            trace.reverse()
-            return Verdict(CONSISTENT, witness=tuple(trace), explored=len(parents))
+            return Verdict(CONSISTENT, witness=tuple(path), explored=len(seen))
         if pending is not None:
-            pch, pti = sync_of[pending]
-            ptag = tag[pending]
+            _, _, pch, _, _, ptag, _ = steps[pending][counts[pending] - 1]
 
         children: list[tuple[tuple, int]] = []
         for ti in range(t):
@@ -174,13 +168,13 @@ def _search(
                 continue
             eid, snd, ch, qi, c, w, need = steps[ti][k]
             if pending is not None:
-                if snd or ch != pch or ti == pti or w != ptag:
+                if snd or ch != pch or ti == pending or w != ptag:
                     continue
                 nq, np = queues, None
             elif qi < 0:
                 if not snd:
                     continue
-                nq, np = queues, eid
+                nq, np = queues, ti
             elif snd:
                 q = queues[qi]
                 if len(q) >= c:
@@ -199,9 +193,9 @@ def _search(
                 break
             children.append((child, eid))
         # Push in reverse so the lowest thread token is expanded first.
-        for child, eid in reversed(children):
-            if child not in parents:
-                parents[child] = (state, eid)
-                stack.append(child)
+        for pair in reversed(children):
+            if pair[0] not in seen:
+                seen.add(pair[0])
+                stack.append(pair)
 
-    return Verdict(INCONSISTENT, explored=len(parents))
+    return Verdict(INCONSISTENT, explored=len(seen))

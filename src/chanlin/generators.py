@@ -641,6 +641,8 @@ def random_positive(
     Capacities are drawn from ``cap_menu`` per channel; the trace is built one
     enabled event at a time (synchronous handshakes count as two events), then
     abstracted with its index-matched reads-from.  Deterministic per seed.
+    Raises ValueError when every drawn channel is synchronous and ``threads``
+    is 1 or ``n`` is odd, since each handshake takes two threads and two events.
     """
     if threads < 1 or channels < 1 or not cap_menu:
         raise ValueError("need at least one thread, channel, and capacity")
@@ -673,7 +675,10 @@ def random_positive(
                 if queues[ch]:
                     moves.append(("rcv", ch))
         if not moves:
-            raise ValueError("infeasible parameters: no enabled event")
+            raise ValueError(
+                "infeasible parameters: no enabled event; every channel is synchronous and a"
+                f" handshake needs 2 threads (have {threads}) and 2 events ({remaining} left)"
+            )
         kind, ch = rng.choice(moves)
         if kind == "sync":
             t1, t2 = rng.sample(thread_names, 2)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import chanlin.cli
+
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -30,3 +32,34 @@ def test_wrapped_bindings_resolve_and_restore():
         t.uninstall()
     for module, attr, _ in tracer.WRAPPED:
         assert getattr(module, attr) is before[module.__name__, attr]
+
+
+def test_traced_checks_record_layer_counts(fixtures):
+    """A traced in-process check, as `bench/run.py --trace 1` runs it, records
+    the counts that the per-layer metrics read from the spans."""
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    codes = []
+    try:
+        for name, algo in [
+            ("sync_triangle_positive.vchk", "frontier-rf"),
+            ("two_thread_cap1_negative_rf.vchk", "auto"),
+        ]:
+            with t.root(name):
+                try:
+                    chanlin.cli.main(
+                        ["check", str(fixtures / name), "--algo", algo], standalone_mode=False
+                    )
+                except SystemExit as exc:
+                    codes.append(exc.code)
+    finally:
+        t.uninstall()
+    assert codes == [0, 1]
+    info = {}
+    for s in t.spans:
+        info.setdefault(s.name, {}).update(s.info)
+    assert info["frontier.search"]["states"] > 0
+    assert info["saturation.saturate"]["cyclic"] == 0
+    assert info["fastpath.encode_2sat"]["vars"] > 0
+    assert info["fastpath.encode_2sat"]["clauses"] > 0

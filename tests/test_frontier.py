@@ -138,3 +138,116 @@ class TestAgainstOracle:
                     if got.consistent:
                         assert_valid_witness(case, got)
                 checked += 1
+
+
+# Instances with synchronous channels and three or four threads: random_positive
+# draws, one-round mutate_rf twins of two of them (exhausted rf searches), and
+# hand-built value-mode rendezvous where several receivers can take one value.
+DRAWS = {
+    "draw1": (12, 3, 2, (0.0, 1.0, INF), 1),
+    "draw2": (12, 3, 2, (0.0, 1.0, INF), 2),
+    "draw3": (14, 4, 2, (0.0, 1.0, INF), 3),
+    "draw4": (16, 4, 3, (0.0, 0.0, 2.0), 4),
+    "draw5": (16, 3, 1, (0.0,), 5),
+    "draw6": (14, 4, 1, (0.0,), 6),
+}
+HAND = {
+    "rendezvous": (
+        [(1, "t1", "snd", "c", "a"), (2, "t1", "snd", "c", "a"), (3, "t1", "rcv", "d", "b"),
+         (4, "t2", "rcv", "c", "a"), (5, "t2", "snd", "d", "b"),
+         (6, "t3", "rcv", "c", "a"), (7, "t3", "snd", "d", "b")],
+        {"c": 0.0, "d": 1.0},
+        [(1, 6), (2, 4), (5, 3)],
+    ),
+    "fan_in": (
+        [(1, "t1", "snd", "c", "a"), (2, "t1", "snd", "c", "a"), (3, "t1", "snd", "c", "a"),
+         (4, "t1", "rcv", "d", "b"), (5, "t1", "rcv", "d", "b"),
+         (6, "t2", "rcv", "c", "a"), (7, "t2", "snd", "d", "b"),
+         (8, "t3", "rcv", "c", "a"), (9, "t3", "snd", "d", "b"),
+         (10, "t4", "rcv", "c", "a")],
+        {"c": 0.0, "d": 0.0},
+        [(1, 10), (2, 8), (3, 6), (7, 4), (9, 5)],
+    ),
+    # Two rendezvous sends of y and one receive: value mode exhausts its space.
+    "extra_send": (
+        [(1, "t1", "snd", "c", "a"), (2, "t1", "snd", "c", "a"),
+         (3, "t2", "rcv", "c", "a"), (4, "t2", "snd", "e", "y"),
+         (5, "t3", "rcv", "c", "a"), (6, "t3", "rcv", "e", "y"),
+         (7, "t4", "snd", "e", "y")],
+        {"c": 0.0, "e": 0.0},
+        [(1, 3), (2, 5), (4, 6)],
+    ),
+}
+
+
+def _pinned_instance(name):
+    if name in HAND:
+        events, cap, rf = HAND[name]
+        return make_instance("abstract", [Event(*e) for e in events], cap, rf)
+    base, _, twin = name.partition("-")
+    inst, _ = random_positive(*DRAWS[base])
+    return mutate_rf(inst, DRAWS[base][-1], rounds=1)[0] if twin else inst
+
+
+# (witness, explored) of solve_vch (None for the valueless twins), solve_vchrf
+# and solve_vchrf_saturated.  The oracle tests above accept any witness; these
+# fix the depth-first expansion order and the witness the search reads off.
+PINNED = {
+    "draw1": (
+        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 113),
+        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 100),
+        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 18),
+    ),
+    "draw2": (
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 17),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 17),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 13),
+    ),
+    "draw3": (
+        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 13, 10, 11, 12, 14), 36),
+        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 10, 13, 11, 12, 14), 30),
+        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 10, 13, 11, 12, 14), 17),
+    ),
+    "draw4": (
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 18),
+    ),
+    "draw5": (
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 17),
+    ),
+    "draw6": (
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 26),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 26),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 15),
+    ),
+    "draw1-twin": (None, (None, 252), (None, 0)),
+    "draw6-twin": (None, (None, 20), (None, 0)),
+    "rendezvous": (
+        ((1, 4, 2, 6, 5, 3, 7), 11),
+        ((1, 6, 2, 4, 5, 3, 7), 10),
+        ((1, 6, 2, 4, 5, 3, 7), 8),
+    ),
+    "fan_in": (
+        ((1, 6, 2, 8, 3, 10, 7, 4, 9, 5), 18),
+        ((1, 10, 2, 8, 3, 6, 7, 4, 9, 5), 13),
+        ((1, 10, 2, 8, 3, 6, 7, 4, 9, 5), 11),
+    ),
+    "extra_send": ((None, 19), (None, 0), (None, 0)),
+}
+
+
+class TestPinnedSearch:
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_witness_and_explored(self, name):
+        inst = _pinned_instance(name)
+        x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+        vch, vchrf, saturated = PINNED[name]
+        if vch is not None:
+            v = solve_vch(x, cap)
+            assert (v.witness, v.explored) == vch
+        for solve, want in ((solve_vchrf, vchrf), (solve_vchrf_saturated, saturated)):
+            v = solve(x, cap, rf)
+            assert (v.witness, v.explored) == want, solve.__name__

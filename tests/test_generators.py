@@ -338,8 +338,14 @@ class TestRandomPositive:
         assert inst.n == 0 and trace == ()
 
     def test_infeasible(self):
-        with pytest.raises(ValueError):
-            random_positive(4, 1, 1, [0.0], seed=0)
+        # Only synchronous channels: a handshake needs two threads and two slots.
+        for n, threads in [(4, 1), (5, 2)]:
+            with pytest.raises(ValueError, match="every channel is synchronous"):
+                random_positive(n, threads, 1, [0.0], seed=0)
+
+    def test_handshakes_fill_even_sizes(self):
+        inst, trace = random_positive(4, 2, 1, [0.0], seed=0)
+        assert len(trace) == 4 and len(inst.rf) == 2
 
 
 class TestMutateRf:
