@@ -77,6 +77,14 @@ def _load(path: str) -> Instance:
     raise AssertionError("unreachable")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(str(exc))
+
+
 def _dispatch(inst: Instance, algo: str, saturation: bool) -> tuple[Verdict, str]:
     x = inst.abstract
     cap = inst.cap_map
@@ -169,11 +177,9 @@ def check(input: str, algo: str, no_saturation: bool, witness: str | None) -> No
         _fail(str(exc))
     write_witness = verdict.consistent and witness
     if write_witness:  # before any result line, so that a failure exits 2 alone
-        by_id = inst.by_id
-        events = [by_id[eid] for eid in verdict.witness or ()]
-        trace = make_instance("trace", events, inst.cap_map)
-        with open(witness, "w", encoding="utf-8") as fh:
-            fh.write(serialize_instance(trace))
+        events, index = inst.abstract.events, inst.abstract.index
+        trace = make_instance("trace", [events[index[e]] for e in verdict.witness], inst.cap_map)
+        _write(witness, serialize_instance(trace))
     _echo(f"result: {verdict.outcome}")
     _echo(f"algorithm: {used}")
     _echo(f"explored: {verdict.explored}")
@@ -235,8 +241,7 @@ def generate(
         _fail("expected `generate random ...` or `generate --reduction <name> --input <file>`")
     text = serialize_instance(inst)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         _echo(text, nl=False)
     _echo_shape(inst)
@@ -257,8 +262,7 @@ def mutate(input: str, seed: int, rounds: int | None, output: str | None) -> Non
         _fail(str(exc))
     text = serialize_instance(mutated)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         _echo(text, nl=False)
     _echo(f"applied: {applied}")
@@ -287,8 +291,7 @@ def emit_smt(
         _fail("--solver-cmd requires --output")
     text = emit_smtlib(inst.abstract, inst.cap_map, inst.rf, with_saturation)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         _echo(text, nl=False)
     if cmd:

@@ -16,9 +16,11 @@ byte-deterministic under :func:`serialize_instance`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
 #: Capacity mark for channels that never block ("inf" in the file format).
@@ -58,29 +60,26 @@ class Event:
 class AbstractExecution:
     """An event set plus per-thread total orders (program order).
 
-    ``events`` is kept in canonical order: threads sorted by token, events of
-    each thread in program order.  The dense index (``index``, ``thr_of``,
-    ``pos_of``, ``start``) numbers the events 0..n-1 in that order, derived
-    from ``threads`` and ``po``: one thread's events are consecutive and
-    ordered by po.
+    ``events`` is stored in dense order whatever order it is given in:
+    threads sorted by token, each thread's events in program order (a stable
+    sort by thread token keeps the given per-thread order).  Event ``i`` has
+    dense index ``i``: ``index`` maps an event id to it, and thread
+    ``threads[ti]`` is the slice ``events[start[ti]:start[ti + 1]]``.
     """
 
     events: tuple[Event, ...]
 
-    @cached_property
-    def by_id(self) -> dict[int, Event]:
-        return {e.id: e for e in self.events}
-
-    @cached_property
-    def po(self) -> dict[str, tuple[int, ...]]:
-        seqs: dict[str, list[int]] = defaultdict(list)
+    def __post_init__(self) -> None:
+        per_thread: dict[str, list[Event]] = defaultdict(list)
         for e in self.events:
-            seqs[e.thread].append(e.id)
-        return {t: tuple(ids) for t, ids in seqs.items()}
+            per_thread[e.thread].append(e)
+        events = tuple(chain.from_iterable(per_thread[th] for th in sorted(per_thread)))
+        if events != self.events:  # keep the given tuple when it is in dense order
+            object.__setattr__(self, "events", events)
 
     @cached_property
     def threads(self) -> tuple[str, ...]:
-        return tuple(sorted(self.po))
+        return tuple(dict.fromkeys(e.thread for e in self.events))
 
     @cached_property
     def channels(self) -> tuple[str, ...]:
@@ -88,24 +87,24 @@ class AbstractExecution:
 
     @cached_property
     def index(self) -> dict[int, int]:
-        """Dense index of every event id; iterating it yields ids in dense order."""
-        return {eid: i for i, eid in enumerate(eid for th in self.threads for eid in self.po[th])}
+        """Dense index of every event id."""
+        return {e.id: i for i, e in enumerate(self.events)}
+
+    @cached_property
+    def start(self) -> list[int]:
+        """Dense index of each thread's first event, then ``n``."""
+        tokens = [e.thread for e in self.events]
+        return [bisect_left(tokens, th) for th in self.threads] + [self.n]
 
     @cached_property
     def thr_of(self) -> list[int]:
         """Position in ``threads`` of the event with each dense index."""
-        return [ti for ti, th in enumerate(self.threads) for _ in self.po[th]]
+        return [ti for ti, (a, b) in enumerate(pairwise(self.start)) for _ in range(a, b)]
 
     @cached_property
     def pos_of(self) -> list[int]:
         """Program-order position in its thread of the event with each dense index."""
-        return [p for th in self.threads for p in range(len(self.po[th]))]
-
-    @cached_property
-    def start(self) -> list[int]:
-        """Dense index of each thread's first event: position ``p`` of thread
-        ``threads[ti]`` has dense index ``start[ti] + p``."""
-        return [self.index[self.po[th][0]] for th in self.threads]
+        return [p for a, b in pairwise(self.start) for p in range(b - a)]
 
     @property
     def n(self) -> int:
@@ -169,8 +168,9 @@ class AlgorithmRefused(Exception):
 class Instance:
     """A parsed instance file: events, capacities, and optional reads-from.
 
-    Events are stored canonically: trace order for ``kind == "trace"``,
-    (thread token, program order) for ``kind == "abstract"``.  ``cap`` is a
+    Events are stored canonically: trace order for ``kind == "trace"``, the
+    dense order of :class:`AbstractExecution` for ``kind == "abstract"``, whose
+    ``abstract`` then shares the ``events`` tuple.  ``cap`` is a
     sorted tuple of (channel, capacity); ``rf`` is a sorted tuple of
     (send id, receive id) pairs or ``None`` when the file has no rf lines.
     """
@@ -184,15 +184,9 @@ class Instance:
     def cap_map(self) -> dict[str, float]:
         return dict(self.cap)
 
-    @property
-    def by_id(self) -> dict[int, Event]:
-        return self.abstract.by_id
-
     @cached_property
     def abstract(self) -> AbstractExecution:
-        if self.kind == "abstract":  # already canonical
-            return AbstractExecution(events=self.events)
-        return AbstractExecution(events=_canonical_abstract_order(self.events))
+        return AbstractExecution(events=self.events)
 
     @property
     def trace_events(self) -> tuple[Event, ...]:
@@ -210,17 +204,6 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_abstract_order(events: Iterable[Event]) -> tuple[Event, ...]:
-    """Order events by (thread token, original per-thread order)."""
-    per_thread: dict[str, list[Event]] = defaultdict(list)
-    for e in events:
-        per_thread[e.thread].append(e)
-    out: list[Event] = []
-    for t in sorted(per_thread):
-        out.extend(per_thread[t])
-    return tuple(out)
-
-
 def make_instance(
     kind: str,
     events: Sequence[Event],
@@ -231,13 +214,15 @@ def make_instance(
     structural validator."""
     if kind not in ("abstract", "trace"):
         raise ValidationError(f"unknown kind {kind!r}")
-    evs = tuple(events) if kind == "trace" else _canonical_abstract_order(events)
+    x = AbstractExecution(events=tuple(events)) if kind == "abstract" else None
     inst = Instance(
         kind=kind,
-        events=evs,
+        events=tuple(events) if x is None else x.events,
         cap=tuple(sorted(cap.items())),
         rf=None if rf is None else tuple(sorted(rf)),
     )
+    if x is not None:  # set the cached ``abstract``, so that it is built once
+        object.__setattr__(inst, "abstract", x)
     validate_instance(inst)
     return inst
 
@@ -263,25 +248,27 @@ def validate_instance(inst: Instance) -> None:
 
 
 def _validate_rf(inst: Instance) -> None:
-    by_id = inst.by_id
+    x = inst.abstract
+    events, index = x.events, x.index
     matched: set[int] = set()
     for s, r in inst.rf or ():
-        bad = _rf_pair_defect(by_id, s, r, matched)
+        bad = _rf_pair_defect(events, index, s, r, matched)
         if bad is not None:
             raise ValidationError(bad)
-        es, er = by_id[s], by_id[r]
+        es, er = events[index[s]], events[index[r]]
         if es.value is not None and er.value is not None and es.value != er.value:
             raise ValidationError(f"rf ({s},{r}): matched events carry different values")
 
 
 def _rf_pair_defect(
-    by_id: Mapping[int, Event], s: int, r: int, matched: set[int]
+    events: Sequence[Event], index: Mapping[int, int], s: int, r: int, matched: set[int]
 ) -> str | None:
     """Why the pair ``(s, r)`` cannot be a reads-from edge next to the pairs
     whose events are in ``matched``, or ``None``; a good pair joins ``matched``."""
-    es, er = by_id.get(s), by_id.get(r)
-    if es is None or er is None:
+    i, j = index.get(s), index.get(r)
+    if i is None or j is None:
         return f"rf ({s},{r}): endpoint missing"
+    es, er = events[i], events[j]
     if es.op != SND or er.op != RCV:
         return f"rf ({s},{r}): rf endpoint op mismatch"
     if es.channel != er.channel:
@@ -316,14 +303,14 @@ def rf_defect(
     own thread.  Together the two rules reject every synchronous channel that
     only one thread uses.
     """
-    by_id = x.by_id
+    events, index = x.events, x.index
     matched: set[int] = set()
     for s, r in rf:
-        bad = _rf_pair_defect(by_id, s, r, matched)
+        bad = _rf_pair_defect(events, index, s, r, matched)
         if bad is not None:
             return bad
-        es = by_id[s]
-        if cap[es.channel] == 0 and es.thread == by_id[r].thread:
+        es = events[index[s]]
+        if cap[es.channel] == 0 and es.thread == events[index[r]].thread:
             return f"rf ({s},{r}): synchronous pair within one thread"
     for e in x.events:
         if e.id in matched:
@@ -538,8 +525,7 @@ def derive_abstract(trace: Sequence[Event]) -> tuple[AbstractExecution, RfPairs]
     rf: list[tuple[int, int]] = []
     for ch, ss in sends.items():
         rf.extend(zip(ss, rcvs.get(ch, [])))
-    x = AbstractExecution(events=_canonical_abstract_order(trace))
-    return x, tuple(sorted(rf))
+    return AbstractExecution(events=tuple(trace)), tuple(sorted(rf))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +549,7 @@ def pending_edges(x: AbstractExecution, rf: Iterable[tuple[int, int]]) -> list[t
     matched = {s for s, _ in rf}
     last: dict[str, dict[str, int]] = defaultdict(dict)  # channel -> thread -> send
     first: dict[str, dict[str, int]] = defaultdict(dict)
-    for e in x.events:  # canonical order: po order within each thread
+    for e in x.events:  # dense order: po order within each thread
         if e.op == SND:
             if e.id in matched:
                 last[e.channel][e.thread] = e.id

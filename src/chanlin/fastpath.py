@@ -73,13 +73,12 @@ def _block_sort(
     return ``None`` when they are cyclic.  Each synchronous rf pair is one
     block, named by the dense index of its send; the lowest ready block goes
     first, so ties go by the (thread token, po) of a block's first event."""
-    by_id, index, thr_of = x.by_id, x.index, x.thr_of
-    ids = list(index)  # event ids in dense order
-    n = len(ids)
+    events, index, thr_of = x.events, x.index, x.thr_of
+    n = len(events)
     head = list(range(n))  # event -> its block
     tail = [-1] * n  # synchronous send -> its receive
     for s, r in rf:
-        if cap[by_id[s].channel] == 0:
+        if cap[events[index[s]].channel] == 0:
             head[index[r]], tail[index[s]] = index[s], index[r]
     indeg = [0] * n
     later: dict[int, list[int]] = defaultdict(list)  # block -> blocks ordered after it
@@ -97,7 +96,7 @@ def _block_sort(
     while ready:
         b = heapq.heappop(ready)
         block = (b,) if tail[b] < 0 else (b, tail[b])
-        witness += [ids[i] for i in block]
+        witness += [events[i].id for i in block]
         po = [head[i + 1] for i in block if i + 1 < n and thr_of[i + 1] == thr_of[i]]
         for v in po + later.get(b, []):
             indeg[v] -= 1
@@ -268,9 +267,8 @@ def encode_2sat(
         raise AlgorithmRefused("2SAT encoding requires at most two threads")
     eff_cap = _classify(x, cap)
 
-    by_id, index, thr_of, pos_of = x.by_id, x.index, x.thr_of, x.pos_of
-    ids = list(index)  # event ids in dense order
-    n = len(ids)
+    events, index, thr_of, pos_of = x.events, x.index, x.thr_of, x.pos_of
+    n = len(events)
     # A single-thread instance has no cross pairs, and every literal below
     # folds to a po constant.
     k = x.start[1] if len(x.threads) == 2 else n
@@ -294,10 +292,9 @@ def encode_2sat(
 
     rcv_of = dict(rf)
     sends_by_ch: dict[str, list[int]] = defaultdict(list)
-    for e in ids:
-        ev = by_id[e]
+    for ev in events:
         if ev.op == SND:
-            sends_by_ch[ev.channel].append(e)
+            sends_by_ch[ev.channel].append(ev.id)
     private = len(x.threads) == 1
     near = 1 if private else n  # how many later sends or pairs to compare
     for m, u in pending_edges(x, rf):  # matched sends before unmatched sends
@@ -330,9 +327,9 @@ def encode_2sat(
             for e, r in table:
                 i, j = index[e] + 1, index[r]
                 if i < n and pos_of[i] > 0:
-                    f.add(lit(r, ids[i]))
+                    f.add(lit(r, events[i].id))
                 if pos_of[j] > 0:
-                    f.add(lit(ids[j - 1], e))
+                    f.add(lit(events[j - 1].id, e))
     return f
 
 
@@ -385,9 +382,10 @@ def solve_acyclic(
     sub_events: dict[tuple[str, ...], list[Event]] = defaultdict(list)
     for e in x.events:
         sub_events[users[e.channel]].append(e)
+    events, index = x.events, x.index
     sub_rf: dict[tuple[str, ...], list[tuple[int, int]]] = defaultdict(list)
     for s, r in rf:  # rf_defect has put both ends on one channel
-        sub_rf[users[x.by_id[s].channel]].append((s, r))
+        sub_rf[users[events[index[s]].channel]].append((s, r))
 
     # Single-thread projections first, then the topology edges in order.
     orderings: list[tuple[int, int]] = []
@@ -401,7 +399,7 @@ def solve_acyclic(
                 reason += f" on private channels {', '.join(private)}"
             return Verdict(INCONSISTENT, reason=reason)
         if len(ts) == 2:  # variable i·w + (j−k) + 1 orders dense events i < k ≤ j
-            ids, k = list(sub.index), sub.start[1]
+            ids, k = [e.id for e in sub.events], sub.start[1]
             n, w = len(ids), len(ids) - k
             i, j, merged = 0, k, []
             while i < k and j < n:

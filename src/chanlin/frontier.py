@@ -56,6 +56,7 @@ derivation of x ≺ r, every such x is executed:
 
 from __future__ import annotations
 
+from itertools import pairwise
 from operator import ge
 from typing import Mapping
 
@@ -111,8 +112,7 @@ def _search(
     rf: tuple[tuple[int, int], ...] | None,
     order: SaturatedOrder | None,
 ) -> Verdict:
-    threads = x.threads
-    t = len(threads)
+    t = len(x.threads)
     async_chs = sorted({e.channel for e in x.events if cap[e.channel] > 0})
     ch_index = {ch: i for i, ch in enumerate(async_chs)}
 
@@ -136,13 +136,13 @@ def _search(
                 ch_index.get(e.channel, -1),
                 cap[e.channel],
                 tag[e.id],
-                order.pred_counts[x.index[e.id]]
+                order.pred_counts[i]
                 if order is not None and (e.op == SND or cap[e.channel] == 0)
                 else None,
             )
-            for e in (x.by_id[i] for i in x.po[th])
+            for i, e in enumerate(x.events[a:b], a)
         ]
-        for th in threads
+        for a, b in pairwise(x.start)
     ]
     lens = tuple(len(s) for s in steps)
     safe = rf is not None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -717,27 +718,34 @@ def mutate_rf(
     rng = random.Random(seed)
     if rounds is None:
         rounds = max(5, math.ceil(0.05 * instance.n))
-    by_snd: dict[int, int] = {s: r for s, r in instance.rf}
-    by_id = instance.by_id
+    by_snd: dict[int, int] = dict(instance.rf)
+    matched = sorted(by_snd)  # kept sorted across rounds
     sends_by_ch: dict[str, list[int]] = defaultdict(list)
+    slot: dict[int, tuple[list[int], int]] = {}  # send -> its channel's sends, its place
     for e in instance.events:
         if e.op == SND:
-            sends_by_ch[e.channel].append(e.id)
+            sends = sends_by_ch[e.channel]
+            slot[e.id] = sends, len(sends)
+            sends.append(e.id)
 
     applied = 0
     skipped = 0
     for _ in range(rounds):
-        pairs = sorted(by_snd.items())
-        s1, r1 = pairs[rng.randrange(len(pairs))]
-        others = [s for s in sends_by_ch[by_id[s1].channel] if s != s1]
-        if not others:
+        s1 = matched[rng.randrange(len(matched))]
+        r1 = by_snd[s1]
+        sends, k1 = slot[s1]
+        if len(sends) == 1:
             skipped += 1
             continue
-        s2 = others[rng.randrange(len(others))]
+        k = rng.randrange(len(sends) - 1)  # a send of the channel other than s1
+        s2 = sends[k + (k >= k1)]
         r2 = by_snd.get(s2)
         del by_snd[s1]
         if r2 is not None:
             by_snd[s1] = r2
+        else:  # s1 leaves the matched sends and s2 joins them
+            del matched[bisect_left(matched, s1)]
+            insort(matched, s2)
         by_snd[s2] = r1
         applied += 1
 

@@ -8,6 +8,7 @@ ground truth in equivalence suites.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Mapping
 
 from .core import (
@@ -44,8 +45,7 @@ def brute_force(
     """
     if x.n > bound:
         raise BoundExceeded(f"instance has {x.n} events, oracle bound is {bound}")
-    threads = x.threads
-    seqs = [[x.by_id[i] for i in x.po[t]] for t in threads]
+    seqs = [x.events[a:b] for a, b in pairwise(x.start)]
     if rf is None:
         for e in x.events:
             if e.value is None:
@@ -55,7 +55,7 @@ def brute_force(
         # A receive named in two pairs: a trace gives each receive one source.
         return Verdict(INCONSISTENT, explored=0)
 
-    counts = [0] * len(threads)
+    counts = [0] * len(seqs)
     queues: dict[str, list[Event]] = {e.channel: [] for e in x.events}
     n = x.n
     witness: list[int] = []

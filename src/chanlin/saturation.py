@@ -31,12 +31,12 @@ A cycle in the saturated order certifies inconsistency; otherwise every
 concretization must respect the order, which licenses aggressive pruning of
 the frontier search.
 
-Representation: events are numbered by the execution's dense index
-(``AbstractExecution.index``: thread token, then po position), and for every
-event ``e`` and thread ``τ`` we keep the minimal program-order position in
-``τ`` of any known successor of ``e``.  Because the order is transitive and
-contains po, successor sets are upward closed along each thread, so the
-minimum is exact and ordering queries are O(1).
+Representation: events are numbered by their position in the execution's
+``events``, which are in dense order (thread token, then po position), and
+for every event ``e`` and thread ``τ`` we keep the minimal program-order
+position in ``τ`` of any known successor of ``e``.  Because the order is
+transitive and contains po, successor sets are upward closed along each
+thread, so the minimum is exact and ordering queries are O(1).
 
 The worklist pops in reverse topological order of the static edges, so
 successor knowledge flows back along a causal chain in one sweep: a token ring
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Mapping, Sequence
 
 from .core import SND, AbstractExecution, classify_channels, pending_edges
@@ -54,27 +55,19 @@ from .core import SND, AbstractExecution, classify_channels, pending_edges
 
 @dataclass
 class SaturatedOrder:
-    """Queryable result of :func:`saturate`.
+    """Result of :func:`saturate`, over the execution's dense index and the
+    thread numbering of its ``threads``.
 
-    ``threads`` fixes the thread indexing used by ``counts`` arguments;
-    ``cyclic`` signals that some event is ordered before itself.  When
-    acyclic, ``query(e, f)`` answers whether ``e`` precedes ``f`` and
-    ``pred_counts[i]`` gives, for the event with dense index ``i``, the
-    per-thread number of events that must precede it.
+    ``cyclic`` signals that some event is ordered before itself.
+    ``succ[i][ti]`` is the least po position in thread ``ti`` of a successor
+    of the event with dense index ``i``, or a position past the thread's end.
+    When acyclic, ``pred_counts[i]`` gives, for that event, the per-thread
+    number of events that must precede it.
     """
 
-    threads: tuple[str, ...]
     cyclic: bool
-    index: dict[int, int] = field(repr=False, default_factory=dict)
-    thr_of: list[int] = field(repr=False, default_factory=list)
-    pos_of: list[int] = field(repr=False, default_factory=list)
     succ: list[list[int]] = field(repr=False, default_factory=list)
     pred_counts: list[tuple[int, ...]] = field(repr=False, default_factory=list)
-
-    def query(self, e: int, f: int) -> bool:
-        """True iff event ``e`` is ordered before event ``f``."""
-        ei, fi = self.index[e], self.index[f]
-        return self.succ[ei][self.thr_of[fi]] <= self.pos_of[fi]
 
 
 def saturate(
@@ -112,13 +105,12 @@ def saturate(
     when a derived edge lowers a row it read, so the worst case stays
     O(t·n³), while a token ring (nothing derived) pops each event once.
     """
-    threads = x.threads
-    t = len(threads)
+    t = len(x.threads)
     n = x.n
     index, thr_of, pos_of, start = x.index, x.thr_of, x.pos_of, x.start
 
     eff_cap = classify_channels(x, cap)
-    ch_of = [x.by_id[eid].channel for eid in index]
+    ch_of = [e.channel for e in x.events]
     big = n + 1  # sentinel: larger than any po position
     succ: list[list[int]] = [[big] * t for _ in range(n)]
     preds: list[list[int]] = [[] for _ in range(n)]
@@ -161,8 +153,8 @@ def saturate(
             tab.setdefault(ch_of[i], [[] for _ in range(t)])[thr_of[i]].append(pos_of[i])
         return tab
 
-    snd_tab, rcv_tab = positions(rcv_of), positions(snd_of)
-    cap1_tab = positions(index[e.id] for e in x.events if e.op == SND and eff_cap[e.channel] == 1)
+    cap1 = (i for i, e in enumerate(x.events) if e.op == SND and eff_cap[e.channel] == 1)
+    snd_tab, rcv_tab, cap1_tab = positions(rcv_of), positions(snd_of), positions(cap1)
 
     # Kahn order over the static edges, sinks first; an event left out lies
     # on a cycle of static edges.
@@ -244,7 +236,7 @@ def saturate(
                     break
                 push(p)
 
-    order = SaturatedOrder(threads, cyclic, index, thr_of, pos_of, succ)
+    order = SaturatedOrder(cyclic, succ)
     if not cyclic:
         order.pred_counts = _pred_counts(x, succ)
     return order
@@ -258,7 +250,7 @@ def _pred_counts(x: AbstractExecution, succ: list[list[int]]) -> list[tuple[int,
     prefix; a two-pointer sweep per thread pair computes all thresholds.
     """
     t = len(x.threads)
-    seqs = [range(s, s + len(x.po[th])) for s, th in zip(x.start, x.threads)]
+    seqs = [range(a, b) for a, b in pairwise(x.start)]
     counts: list[list[int]] = [[0] * t for _ in range(x.n)]
     for target_ti in range(t):
         tgt = seqs[target_ti]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+from itertools import pairwise
 from typing import Mapping, Sequence
 
 from .core import INF, RCV, SND, AbstractExecution, format_cap, pending_edges
@@ -48,10 +49,10 @@ def emit_smtlib(
     """Emit SMT-LIB v2 text; see the module docstring for the encoding."""
     n = x.n
     channels = sorted(cap)
-    by_id = x.by_id
+    events, index = x.events, x.index
     lines: list[str] = ["(set-logic QF_LIA)"]
 
-    event_ids = [e.id for e in x.events]
+    event_ids = [e.id for e in events]
     for eid in event_ids:
         lines.append(f"(declare-const x_{eid} Int)")
     for ch in channels:
@@ -66,12 +67,11 @@ def emit_smtlib(
         lines.append("(assert (distinct " + " ".join(f"x_{e}" for e in event_ids) + "))")
 
     # Program order and reads-from.
-    for th in x.threads:
-        seq = x.po[th]
-        for p in range(len(seq) - 1):
-            lines.append(f"(assert (< x_{seq[p]} x_{seq[p + 1]}))")
+    for a, b in pairwise(x.start):
+        for i in range(a, b - 1):
+            lines.append(f"(assert (< x_{event_ids[i]} x_{event_ids[i + 1]}))")
     for s, r in sorted(rf):
-        if cap[by_id[s].channel] == 0:
+        if cap[events[index[s]].channel] == 0:
             lines.append(f"(assert (= (+ x_{s} 1) x_{r}))")
         else:
             lines.append(f"(assert (< x_{s} x_{r}))")
@@ -80,10 +80,10 @@ def emit_smtlib(
     pairs_by_ch: dict[str, list[tuple[int, int]]] = {}
     sends_by_ch: dict[str, list[int]] = {ch: [] for ch in channels}
     rcvs_by_ch: dict[str, list[int]] = {ch: [] for ch in channels}
-    for e in x.events:
+    for e in events:
         (sends_by_ch if e.op == SND else rcvs_by_ch)[e.channel].append(e.id)
     for s, r in sorted(rf):
-        pairs_by_ch.setdefault(by_id[s].channel, []).append((s, r))
+        pairs_by_ch.setdefault(events[index[s]].channel, []).append((s, r))
     for ch in channels:
         table = pairs_by_ch.get(ch, [])
         for i, (s, r) in enumerate(table):
@@ -118,12 +118,11 @@ def emit_smtlib(
             lines.append("; saturated order contains a cycle")
             lines.append("(assert false)")
         else:
-            seqs = {ti: x.po[th] for ti, th in enumerate(order.threads)}
-            for eid in event_ids:
-                row = order.succ[order.index[eid]]
-                for ti, p in enumerate(row):
-                    if p < len(seqs[ti]):
-                        lines.append(f"(assert (< x_{eid} x_{seqs[ti][p]}))")
+            start = x.start
+            for eid, row in zip(event_ids, order.succ):
+                for a, b, p in zip(start, start[1:], row):  # thread slice, po position
+                    if a + p < b:
+                        lines.append(f"(assert (< x_{eid} x_{event_ids[a + p]}))")
 
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -17,6 +17,13 @@ def run(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
 
+def assert_write_error(r, path):
+    """An output path that cannot be written exits 2 with one error line."""
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: ") and str(path) in r.stderr
+    assert "Traceback" not in r.stderr and "internal error" not in r.stderr
+
+
 def assert_buffers_freed(args, code, line):
     """Run ``main(args)`` in-process with redirected stdout and stderr; check
     the exit code and printed line, then that neither buffer stays alive."""
@@ -102,8 +109,7 @@ class TestCheck:
     def test_unwritable_witness_exit_two(self, fixtures, tmp_path):
         w = tmp_path / "missing" / "w.vchk"
         r = run("check", fixtures / "two_thread_cap1_positive.vchk", "--witness", w)
-        assert r.exit_code == 2
-        assert "FileNotFoundError" in r.stderr
+        assert_write_error(r, w)
         assert "result:" not in r.stdout
 
     @pytest.mark.parametrize(
@@ -197,9 +203,8 @@ class TestGenerate:
         assert r.exit_code == 2
 
     def test_unwritable_output_exit_two(self, tmp_path):
-        r = run("generate", "random", "--output", tmp_path / "missing" / "x.vchk")
-        assert r.exit_code == 2
-        assert "FileNotFoundError" in r.stderr
+        out = tmp_path / "missing" / "x.vchk"
+        assert_write_error(run("generate", "random", "--output", out), out)
 
 
 class TestMutate:
@@ -229,6 +234,12 @@ class TestMutate:
 
         assert parse_instance(out.read_text()).rf == parse_instance(inst.read_text()).rf
 
+    def test_unwritable_output_exit_two(self, fixtures, tmp_path):
+        out = tmp_path / "missing" / "m.vchk"
+        r = run("mutate", fixtures / "two_thread_cap1_negative_rf.vchk", "--output", out)
+        assert_write_error(r, out)
+        assert "applied:" not in r.stdout
+
     def test_no_rf_exit_two(self, fixtures):
         r = run("mutate", fixtures / "two_thread_cap1_positive.vchk")
         assert r.exit_code == 2
@@ -253,6 +264,11 @@ class TestEmitSmtAndStats:
         r = run("emit-smt", inst, "--solver-cmd", "true {input}")
         assert r.exit_code == 2
         assert "(set-logic" not in r.stdout
+
+    def test_unwritable_output_exit_two(self, fixtures, tmp_path):
+        out = tmp_path / "missing" / "e.smt2"
+        r = run("emit-smt", fixtures / "two_thread_cap1_negative_rf.vchk", "--output", out)
+        assert_write_error(r, out)
 
     def test_emit_requires_rf(self, fixtures):
         r = run("emit-smt", fixtures / "two_thread_cap1_positive.vchk")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from chanlin import (
     INF,
     AbstractExecution,
+    AlgorithmRefused,
     Event,
     Ok,
     ParseError,
@@ -25,10 +26,17 @@ from chanlin import (
     derive_abstract,
     make_instance,
     parse_instance,
+    saturate,
     serialize_instance,
+    solve_acyclic,
+    solve_sync,
+    solve_vchrf,
+    solve_vchrf_saturated,
 )
 from chanlin.core import pending_edges
-from .conftest import rand_instance
+from chanlin.generators import random_positive
+from chanlin.oracle import brute_force
+from .conftest import CAP_MENU, po, rand_instance
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -154,16 +162,16 @@ class TestValidation:
 
 
 def assert_dense_index(x):
-    """index, thr_of, pos_of and start agree with threads and po."""
-    dense = [(ti, p, eid) for ti, th in enumerate(x.threads) for p, eid in enumerate(x.po[th])]
-    assert list(x.index) == [eid for _, _, eid in dense]
-    assert [x.index[eid] for _, _, eid in dense] == list(range(x.n))
-    assert x.thr_of == [ti for ti, _, _ in dense]
-    assert x.pos_of == [p for _, p, _ in dense]
-    assert len(x.start) == len(x.threads)
+    """events are sorted by thread token; index, thr_of, pos_of and start
+    agree with them."""
+    assert [e.thread for e in x.events] == sorted(e.thread for e in x.events)
+    assert x.threads == tuple(sorted({e.thread for e in x.events}))
+    assert x.index == {e.id: i for i, e in enumerate(x.events)}
+    assert x.start[0] == 0 and x.start[-1] == x.n and len(x.start) == len(x.threads) + 1
     for ti, th in enumerate(x.threads):
-        for p, eid in enumerate(x.po[th]):
-            assert x.index[eid] == x.start[ti] + p
+        for p, i in enumerate(range(x.start[ti], x.start[ti + 1])):
+            assert x.events[i].thread == th
+            assert (x.thr_of[i], x.pos_of[i]) == (ti, p)
 
 
 class TestDenseIndex:
@@ -173,7 +181,6 @@ class TestDenseIndex:
             inst = rand_instance(rng, rng.random() < 0.5, n_max=12, t_max=4)
             assert_dense_index(inst.abstract)
             assert inst.abstract.events is inst.events
-            assert inst.by_id is inst.abstract.by_id
 
     def test_events_out_of_canonical_order(self):
         x = AbstractExecution(
@@ -186,8 +193,45 @@ class TestDenseIndex:
             )
         )
         assert_dense_index(x)
-        assert x.index == {1: 0, 2: 1, 5: 2, 3: 3, 9: 4}
-        assert x.start == [0, 2, 4]
+        assert [e.id for e in x.events] == [1, 2, 5, 3, 9]
+        assert x.start == [0, 2, 4, 5]
+
+    def test_any_input_order_gives_the_dense_build(self):
+        """An execution built from a shuffle of its events across threads,
+        each thread's order kept, equals the canonical build: same events,
+        the same saturation and the same verdict from every rf solver."""
+        rng = random.Random(37)
+        for k in range(500):
+            if k % 2:
+                caps = (0.0, 1.0, 2.0, 3.0, INF)
+                inst = rand_instance(rng, True, n_max=10, t_max=4, caps=caps)
+            else:
+                n, t, m = 2 * rng.randint(1, 8), rng.randint(2, 4), rng.randint(1, 3)
+                inst, _ = random_positive(n, t, m, CAP_MENU, k)
+            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+            threads = [e.thread for e in x.events]
+            rng.shuffle(threads)
+            per_thread: dict[str, deque] = {}
+            for e in x.events:
+                per_thread.setdefault(e.thread, deque()).append(e)
+            y = AbstractExecution(events=tuple(per_thread[th].popleft() for th in threads))
+            assert y.events == x.events
+            ox, oy = saturate(x, cap, rf), saturate(y, cap, rf)
+            assert (oy.cyclic, oy.pred_counts) == (ox.cyclic, ox.pred_counts)
+            assert rf_verdicts(y, cap, rf) == rf_verdicts(x, cap, rf)
+
+
+def rf_verdicts(x, cap, rf) -> list:
+    """Each rf solver's verdict, or its refusal text; brute force up to 10 events."""
+    out = []
+    for solve in (solve_vchrf, solve_vchrf_saturated, solve_sync, solve_acyclic):
+        try:
+            out.append(solve(x, cap, rf))
+        except AlgorithmRefused as exc:
+            out.append(str(exc))
+    if x.n <= 10:
+        out.append(brute_force(x, cap, rf, bound=10))
+    return out
 
 
 class TestWellFormedness:
@@ -222,7 +266,7 @@ class TestWellFormedness:
         ]
         x, rf = derive_abstract(trace)
         assert rf == ((1, 3),)
-        assert x.po == {"t1": (1, 2), "t2": (3,)}
+        assert po(x) == {"t1": (1, 2), "t2": (3,)}
 
 
 class TestClassification:
@@ -244,15 +288,15 @@ class TestClassification:
             inst = rand_instance(rng, True, n_max=12, t_max=4, caps=(0.0, 1.0, 2.0, 3.0, INF))
             x, rf = inst.abstract, inst.rf
             matched = {s for s, _ in rf}
-            pos = {eid: p for seq in x.po.values() for p, eid in enumerate(seq)}
+            index = x.index
 
             def po_le(a: int, b: int) -> bool:
-                return x.by_id[a].thread == x.by_id[b].thread and pos[a] <= pos[b]
+                return x.thr_of[index[a]] == x.thr_of[index[b]] and index[a] <= index[b]
 
             edges = pending_edges(x, rf)
             per_channel = Counter()
             for m, u in edges:
-                em, eu = x.by_id[m], x.by_id[u]
+                em, eu = x.events[index[m]], x.events[index[u]]
                 assert em.op == eu.op == "snd" and em.channel == eu.channel
                 assert m in matched and u not in matched
                 per_channel[em.channel] += 1

@@ -26,7 +26,7 @@ from chanlin import (
     solve_sync,
 )
 from chanlin.generators import mutate_rf, random_positive
-from .conftest import assert_valid_witness
+from .conftest import assert_valid_witness, po
 
 
 def sync_instance(rng, threads=3, channels=2, pairs_max=4):
@@ -96,10 +96,10 @@ class TestSolveSync:
             node_of = {}
             for s, r in inst.rf:
                 node_of[s] = node_of[r] = s
-            pos = {eid: (th, p) for th, seq in x.po.items() for p, eid in enumerate(seq)}
+            pos = {eid: (th, p) for th, seq in po(x).items() for p, eid in enumerate(seq)}
             edges = set()
-            for a in x.by_id:
-                for b in x.by_id:
+            for a in pos:
+                for b in pos:
                     ta, pa = pos[a]
                     tb, pb = pos[b]
                     if ta == tb and pb == pa + 1 and node_of[a] != node_of[b]:
@@ -367,16 +367,16 @@ def _reference_2sat(nvars, clauses):
 def _all_orderings_witness(x, cap, rf, users):
     """Heap-ordered topological sort of po plus every pair ordering of each
     two-thread projection's model; synchronous rf pairs are glued."""
-    edges = [ab for seq in x.po.values() for ab in zip(seq, seq[1:])]
+    edges = [ab for seq in po(x).values() for ab in zip(seq, seq[1:])]
     for ts in sorted({ts for ts in users.values() if len(ts) == 2}):
         sub = AbstractExecution(events=tuple(e for e in x.events if users[e.channel] == ts))
-        sub_rf = tuple((s, r) for s, r in rf if users[x.by_id[s].channel] == ts)
+        sub_rf = tuple((s, r) for s, r in rf if users[x.events[x.index[s]].channel] == ts)
         f = encode_2sat(sub, cap, sub_rf)
         assign = _reference_2sat(f.nvars, f.clauses)
-        ids, k = list(sub.index), sub.start[1]
+        ids, k = [e.id for e in sub.events], sub.start[1]
         for v, (a, b) in enumerate(itertools.product(ids[:k], ids[k:]), 1):
             edges.append((a, b) if assign[v] else (b, a))
-    glue = {s: r for s, r in rf if cap[x.by_id[s].channel] == 0}
+    glue = {s: r for s, r in rf if cap[x.events[x.index[s]].channel] == 0}
     glued = set(glue.values())
     blocks = [(e, glue[e]) if e in glue else (e,) for e in x.index if e not in glued]
     block_of = {e: bi for bi, block in enumerate(blocks) for e in block}

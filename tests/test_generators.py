@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from collections import defaultdict
 
 import pytest
@@ -367,6 +368,38 @@ class TestMutateRf:
         _, applied, skipped = mutate_rf(inst, seed=0)
         assert applied + skipped == 10
 
+    @pytest.mark.parametrize(
+        "seed, applied, skipped, rf",
+        [
+            (0, 9, 3, ((2, 3), (4, 10), (7, 12), (8, 11))),
+            (2, 7, 5, ((2, 9), (4, 10), (5, 3), (6, 7))),
+        ],
+    )
+    def test_pinned_output(self, seed, applied, skipped, rf):
+        # Fixed per seed: the same rng draws pick the same pairs and sends.
+        inst, _ = random_positive(12, 3, 4, [1.0, INF], seed)
+        mutated, ap, sk = mutate_rf(inst, seed, rounds=12)
+        assert (ap, sk, mutated.rf) == (applied, skipped, rf)
+
+    def test_pinned_output_with_redirects(self):
+        inst, _ = random_positive(60, 3, 4, [0.0, 1.0, INF], 5)
+        mutated, applied, skipped = mutate_rf(inst, 5)
+        assert (applied, skipped) == (5, 0)
+        assert mutated.rf == (
+            (1, 47), (3, 17), (4, 11), (5, 36), (7, 12), (9, 14), (13, 15), (16, 8),
+            (18, 20), (21, 22), (25, 31), (28, 30), (29, 35), (32, 33), (34, 52),
+            (37, 53), (40, 45), (43, 55), (44, 2), (51, 46), (56, 59),
+        )
+
+    def test_large_instance_is_not_quadratic(self):
+        # 800 rounds over 16 000 events; re-sorting every rf pair each round
+        # took over 1 s.
+        inst, _ = random_positive(16_000, 3, 3, [0.0, 1.0, 2.0, INF], 5)
+        t0 = time.perf_counter()
+        _, applied, skipped = mutate_rf(inst, 3)
+        assert time.perf_counter() - t0 < 0.4
+        assert applied + skipped == 800
+
     def test_zero_rounds_identity_rf(self):
         inst, _ = random_positive(20, 3, 3, [1.0, INF], seed=3)
         mutated, applied, skipped = mutate_rf(inst, seed=0, rounds=0)
@@ -394,7 +427,8 @@ class TestMutateRf:
             rcvs = [r for _, r in mutated.rf]
             assert len(set(snds)) == len(snds)
             assert len(set(rcvs)) == len(rcvs)
-            by_id = mutated.by_id
+            events, index = mutated.events, mutated.abstract.index
             for s, r in mutated.rf:
-                assert by_id[s].channel == by_id[r].channel
-                assert by_id[s].op == "snd" and by_id[r].op == "rcv"
+                es, er = events[index[s]], events[index[r]]
+                assert es.channel == er.channel
+                assert es.op == "snd" and er.op == "rcv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
+from itertools import pairwise
 
 from chanlin import (
     INF,
@@ -20,16 +21,21 @@ from chanlin.generators import random_positive
 from .conftest import CAP_MENU, rand_instance, token_ring
 
 
+def precedes(x, order, e, f) -> bool:
+    """Whether the saturated ``order`` of ``x`` puts event ``e`` before event ``f``."""
+    i, j = x.index[e], x.index[f]
+    return order.succ[i][x.thr_of[j]] <= x.pos_of[j]
+
+
 def naive_saturation(x, cap, rf):
     """Reference fixpoint over an explicit pair set; returns (cyclic, pairs)."""
     ids = [e.id for e in x.events]
-    by_id = x.by_id
     eff_cap = classify_channels(x, cap)
     rel: set[tuple[int, int]] = set()
-    for seq in x.po.values():
-        for i in range(len(seq)):
-            for j in range(i + 1, len(seq)):
-                rel.add((seq[i], seq[j]))
+    for a, b in pairwise(x.start):
+        for i in range(a, b):
+            for j in range(i + 1, b):
+                rel.add((ids[i], ids[j]))
     rel.update(rf)
     pairs_by_ch: dict[str, list[tuple[int, int]]] = defaultdict(list)
     sends_by_ch: dict[str, list[int]] = defaultdict(list)
@@ -38,7 +44,7 @@ def naive_saturation(x, cap, rf):
         if e.op == "snd":
             sends_by_ch[e.channel].append(e.id)
     for s, r in rf:
-        pairs_by_ch[by_id[s].channel].append((s, r))
+        pairs_by_ch[x.events[x.index[s]].channel].append((s, r))
     for ch, sends in sends_by_ch.items():
         for m in sends:
             if m in matched:
@@ -100,10 +106,11 @@ def assert_matches_naive(inst) -> bool:
     cyclic, rel = naive_saturation(x, cap, rf)
     assert order.cyclic == cyclic
     if not cyclic:
-        for e in x.by_id:
-            for f in x.by_id:
+        ids = [e.id for e in x.events]
+        for e in ids:
+            for f in ids:
                 if e != f:
-                    assert order.query(e, f) == ((e, f) in rel), (e, f)
+                    assert precedes(x, order, e, f) == ((e, f) in rel), (e, f)
     return cyclic
 
 
@@ -162,11 +169,12 @@ class TestAgainstNaiveFixpoint:
         ]
         rf = [(1, 6), (2, 3), (4, 7), (5, 8)]
         inst = make_instance("abstract", events, {"c": INF, "d": 0.0}, rf)
-        order = saturate(inst.abstract, inst.cap_map, inst.rf)
+        x = inst.abstract
+        order = saturate(x, inst.cap_map, inst.rf)
         assert not order.cyclic
-        assert order.query(6, 7) and order.query(7, 8) and order.query(6, 8)
-        assert not order.query(8, 6)
-        assert order.pred_counts[order.index[8]] == (2, 3, 1, 1, 0)
+        assert precedes(x, order, 6, 7) and precedes(x, order, 7, 8)
+        assert precedes(x, order, 6, 8) and not precedes(x, order, 8, 6)
+        assert order.pred_counts[x.index[8]] == (2, 3, 1, 1, 0)
         assert not assert_matches_naive(inst)
 
     def test_pred_counts_match_predecessor_sets(self):
@@ -178,12 +186,10 @@ class TestAgainstNaiveFixpoint:
             cyclic, rel = naive_saturation(x, cap, rf)
             if cyclic:
                 continue
-            tidx = {th: i for i, th in enumerate(order.threads)}
-            for e in x.by_id:
-                need = order.pred_counts[order.index[e]]
-                for th, seq in x.po.items():
-                    preds = sum(1 for f in seq if (f, e) in rel)
-                    assert need[tidx[th]] == preds, (e, th)
+            for e, need in zip(x.events, order.pred_counts):
+                for ti, (a, b) in enumerate(pairwise(x.start)):
+                    preds = sum(1 for f in x.events[a:b] if (f.id, e.id) in rel)
+                    assert need[ti] == preds, (e, ti)
 
 
 class TestRendezvousRule:
@@ -204,7 +210,7 @@ class TestRendezvousRule:
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 6), (5, 4)])
         order = saturate(inst.abstract, inst.cap_map, inst.rf)
         assert not order.cyclic
-        assert order.query(4, 1)
+        assert precedes(inst.abstract, order, 4, 1)
         assert not assert_matches_naive(inst)
         assert solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf).consistent
 
@@ -219,9 +225,10 @@ class TestRendezvousRule:
         ]
         inst = make_instance("abstract", events, {"c": 0.0}, [(2, 1)])
         assert rf_defect(inst.abstract, inst.cap_map, inst.rf) is not None
-        order = saturate(inst.abstract, inst.cap_map, inst.rf)
+        x = inst.abstract
+        order = saturate(x, inst.cap_map, inst.rf)
         assert not order.cyclic
-        assert order.query(2, 3) and order.query(1, 3)
+        assert precedes(x, order, 2, 3) and precedes(x, order, 1, 3)
         assert not assert_matches_naive(inst)
 
     def test_synchronous_heavy_instances(self):
@@ -271,11 +278,12 @@ class TestReady:
             Event(2, "t2", "rcv", "c"),
         ]
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 2)])
-        order = saturate(inst.abstract, inst.cap_map, inst.rf)
+        x = inst.abstract
+        order = saturate(x, inst.cap_map, inst.rf)
         assert not order.cyclic
-        assert order.threads == ("t1", "t2")
-        assert order.pred_counts[order.index[1]] == (0, 0)
-        assert order.pred_counts[order.index[2]] == (1, 0)
+        assert x.threads == ("t1", "t2")
+        assert order.pred_counts[x.index[1]] == (0, 0)
+        assert order.pred_counts[x.index[2]] == (1, 0)
 
 
 class TestPipelinePruning:
