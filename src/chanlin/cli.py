@@ -86,30 +86,28 @@ def _write(path: str, text: str) -> None:
 
 
 def _dispatch(inst: Instance, algo: str, saturation: bool) -> tuple[Verdict, str]:
-    x = inst.abstract
     cap = inst.cap_map
-    rf = inst.rf
     if algo == "brute":
-        return brute_force(x, cap, rf, bound=max(inst.n, 1)), "brute"
-    if algo == "frontier" or (algo == "auto" and rf is None):
-        return solve_vch(x, cap), "frontier"
-    if rf is None:
+        return brute_force(inst.abstract, cap, inst.rf, bound=max(inst.n, 1)), "brute"
+    if algo == "frontier" or (algo == "auto" and inst.rf is None):
+        return solve_vch(inst), "frontier"
+    if inst.rf is None:
         raise ValueError(f"{algo} requires a reads-from relation")
     if algo == "sync":
-        return solve_sync(x, cap, rf), "sync"
+        return solve_sync(inst), "sync"
     if algo == "acyclic":
-        return solve_acyclic(x, cap, rf), "acyclic"
+        return solve_acyclic(inst), "acyclic"
     if algo == "auto":
         # Fastest applicable algorithm, falling back to the frontier search.
-        if x.events and all(cap[e.channel] == 0 for e in x.events):
-            return solve_sync(x, cap, rf), "sync"
+        if inst.events and all(cap[e.channel] == 0 for e in inst.events):
+            return solve_sync(inst), "sync"
         try:
-            return solve_acyclic(x, cap, rf), "acyclic"
+            return solve_acyclic(inst), "acyclic"
         except AlgorithmRefused:
             pass
     if saturation:
-        return solve_vchrf_saturated(x, cap, rf), "frontier-rf-saturated"
-    return solve_vchrf(x, cap, rf), "frontier-rf"
+        return solve_vchrf_saturated(inst), "frontier-rf-saturated"
+    return solve_vchrf(inst), "frontier-rf"
 
 
 def _show(ctx: click.Context, param: click.Parameter, value: bool) -> None:
@@ -289,7 +287,7 @@ def emit_smt(
     cmd = solver_cmd or os.environ.get("CHANLIN_SMT_CMD")
     if cmd and not output:
         _fail("--solver-cmd requires --output")
-    text = emit_smtlib(inst.abstract, inst.cap_map, inst.rf, with_saturation)
+    text = emit_smtlib(inst, with_saturation)
     if output:
         _write(output, text)
     else:

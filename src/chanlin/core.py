@@ -173,6 +173,8 @@ class Instance:
     ``abstract`` then shares the ``events`` tuple.  ``cap`` is a
     sorted tuple of (channel, capacity); ``rf`` is a sorted tuple of
     (send id, receive id) pairs or ``None`` when the file has no rf lines.
+    The solvers take the instance and read rf through :attr:`mate`, its dense
+    view; ``rf`` serves serialization, statistics and the oracle.
     """
 
     kind: str  # "abstract" | "trace"
@@ -187,6 +189,36 @@ class Instance:
     @cached_property
     def abstract(self) -> AbstractExecution:
         return AbstractExecution(events=self.events)
+
+    @cached_property
+    def mate(self) -> list[int]:
+        """The rf partner of the event with each dense index of ``abstract``,
+        or -1 when rf leaves it unmatched (or the instance has no rf).
+
+        Built in one pass over ``rf`` that checks the structural rules, so a
+        hand-built instance is checked the first time a solver reads it:
+        every pair joins a send and a receive of this instance on one channel
+        whose values, when both are given, agree, and no event is in two
+        pairs.  Raises :class:`ValidationError` naming the first bad pair.
+        """
+        x = self.abstract
+        events, index = x.events, x.index
+        mate = [-1] * x.n
+        for s, r in self.rf or ():
+            i, j = index.get(s), index.get(r)
+            if i is None or j is None:
+                raise ValidationError(f"rf ({s},{r}): endpoint missing")
+            es, er = events[i], events[j]
+            if es.op != SND or er.op != RCV:
+                raise ValidationError(f"rf ({s},{r}): rf endpoint op mismatch")
+            if es.channel != er.channel:
+                raise ValidationError(f"rf ({s},{r}): endpoints on different channels")
+            if mate[i] >= 0 or mate[j] >= 0:
+                raise ValidationError(f"rf ({s},{r}): rf is not injective")
+            if es.value is not None and er.value is not None and es.value != er.value:
+                raise ValidationError(f"rf ({s},{r}): matched events carry different values")
+            mate[i], mate[j] = j, i
+        return mate
 
     @property
     def trace_events(self) -> tuple[Event, ...]:
@@ -211,7 +243,7 @@ def make_instance(
     rf: Iterable[tuple[int, int]] | None = None,
 ) -> Instance:
     """Canonicalize and validate an instance, in memory or parsed: the only
-    structural validator."""
+    structural validator; raise :class:`ValidationError` on failure."""
     if kind not in ("abstract", "trace"):
         raise ValidationError(f"unknown kind {kind!r}")
     x = AbstractExecution(events=tuple(events)) if kind == "abstract" else None
@@ -223,12 +255,6 @@ def make_instance(
     )
     if x is not None:  # set the cached ``abstract``, so that it is built once
         object.__setattr__(inst, "abstract", x)
-    validate_instance(inst)
-    return inst
-
-
-def validate_instance(inst: Instance) -> None:
-    """Check structural invariants; raise :class:`ValidationError` on failure."""
     seen: set[int] = set()
     for e in inst.events:
         if e.id in seen:
@@ -244,76 +270,37 @@ def validate_instance(inst: Instance) -> None:
         if c != INF and (c != int(c) or c < 0):
             raise ValidationError(f"channel {ch!r}: bad capacity {c!r}")
     if inst.rf is not None:
-        _validate_rf(inst)
+        inst.mate  # reading it checks the structural rf rules
+    return inst
 
 
-def _validate_rf(inst: Instance) -> None:
-    x = inst.abstract
-    events, index = x.events, x.index
-    matched: set[int] = set()
-    for s, r in inst.rf or ():
-        bad = _rf_pair_defect(events, index, s, r, matched)
-        if bad is not None:
-            raise ValidationError(bad)
-        es, er = events[index[s]], events[index[r]]
-        if es.value is not None and er.value is not None and es.value != er.value:
-            raise ValidationError(f"rf ({s},{r}): matched events carry different values")
+def rf_defect(inst: Instance) -> str | None:
+    """The first reason no interleaving of the instance can realize its rf,
+    or ``None``.
 
+    Every rf solver calls this before any search, after :attr:`Instance.mate`
+    has checked the structural rules.  In order, it rejects a synchronous pair
+    inside one thread (first in sorted rf order), a receive with no rf source,
+    and a synchronous send that rf leaves unmatched (first in dense order).
 
-def _rf_pair_defect(
-    events: Sequence[Event], index: Mapping[int, int], s: int, r: int, matched: set[int]
-) -> str | None:
-    """Why the pair ``(s, r)`` cannot be a reads-from edge next to the pairs
-    whose events are in ``matched``, or ``None``; a good pair joins ``matched``."""
-    i, j = index.get(s), index.get(r)
-    if i is None or j is None:
-        return f"rf ({s},{r}): endpoint missing"
-    es, er = events[i], events[j]
-    if es.op != SND or er.op != RCV:
-        return f"rf ({s},{r}): rf endpoint op mismatch"
-    if es.channel != er.channel:
-        return f"rf ({s},{r}): endpoints on different channels"
-    if s in matched or r in matched:
-        return f"rf ({s},{r}): rf is not injective"
-    matched.add(s)
-    matched.add(r)
-    return None
-
-
-def rf_defect(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: Iterable[tuple[int, int]],
-) -> str | None:
-    """The first reason no interleaving of ``x`` can realize ``rf``, or ``None``.
-
-    Every rf solver calls this before any search.  In order, it rejects a pair
-    with a missing endpoint, a pair that is not a send and a receive on one
-    channel, an event in two pairs, a synchronous pair inside one thread, a
-    receive with no rf source, and a synchronous send that rf leaves unmatched.
-
-    The endpoint, injectivity and source rules hold because in a trace each
-    receive takes exactly one send of its own channel, and each send is taken
-    at most once.  The two synchronous rules hold because of the rendezvous:
-    in a well-formed trace a capacity-0 send is followed at once by a receive
-    on its channel from another thread, and every capacity-0 receive comes
-    right after such a send.  Sends and receives on the channel therefore
-    alternate, and the receive right after each send is the one rf pairs with
-    it.  So every synchronous send is matched, and never with a receive of its
-    own thread.  Together the two rules reject every synchronous channel that
-    only one thread uses.
+    The source rule holds because in a trace each receive takes exactly one
+    send of its own channel.  The two synchronous rules hold because of the
+    rendezvous: in a well-formed trace a capacity-0 send is followed at once
+    by a receive on its channel from another thread, and every capacity-0
+    receive comes right after such a send.  Sends and receives on the channel
+    therefore alternate, and the receive right after each send is the one rf
+    pairs with it.  So every synchronous send is matched, and never with a
+    receive of its own thread.  Together the two rules reject every
+    synchronous channel that only one thread uses.
     """
+    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
     events, index = x.events, x.index
-    matched: set[int] = set()
-    for s, r in rf:
-        bad = _rf_pair_defect(events, index, s, r, matched)
-        if bad is not None:
-            return bad
+    for s, r in inst.rf or ():
         es = events[index[s]]
         if cap[es.channel] == 0 and es.thread == events[index[r]].thread:
             return f"rf ({s},{r}): synchronous pair within one thread"
-    for e in x.events:
-        if e.id in matched:
+    for e, m in zip(events, mate):
+        if m >= 0:
             continue
         if e.op == RCV:
             return f"receive {e.id} has no rf source"
@@ -540,21 +527,22 @@ def classify_channels(x: AbstractExecution, cap: Mapping[str, float]) -> dict[st
     return {ch: c if c == 0 or sends[ch] > c else INF for ch, c in cap.items()}
 
 
-def pending_edges(x: AbstractExecution, rf: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Send pairs (m, u) that stand for rule 2, matched sends before unmatched
-    (still pending) sends of a channel: per channel and pair of threads, the
-    po-last matched send of one and the po-first unmatched send of the other,
-    so at most t² pairs.  Any other matched m and unmatched u have m ≤po m'
-    and u' ≤po u for the pair (m', u') of their threads: po gives the rest."""
-    matched = {s for s, _ in rf}
+def pending_edges(inst: Instance) -> list[tuple[int, int]]:
+    """Dense index pairs (m, u) of sends that stand for rule 2, matched sends
+    before unmatched (still pending) sends of a channel: per channel and pair
+    of threads, the po-last matched send of one and the po-first unmatched send
+    of the other, so at most t² pairs.  Any other matched m and unmatched u
+    have m ≤po m' and u' ≤po u for the pair (m', u') of their threads: po
+    gives the rest."""
+    mate = inst.mate
     last: dict[str, dict[str, int]] = defaultdict(dict)  # channel -> thread -> send
     first: dict[str, dict[str, int]] = defaultdict(dict)
-    for e in x.events:  # dense order: po order within each thread
+    for i, e in enumerate(inst.abstract.events):  # dense order: po order per thread
         if e.op == SND:
-            if e.id in matched:
-                last[e.channel][e.thread] = e.id
+            if mate[i] >= 0:
+                last[e.channel][e.thread] = i
             else:
-                first[e.channel].setdefault(e.thread, e.id)
+                first[e.channel].setdefault(e.thread, i)
     return [(m, u) for ch, us in first.items() for m in last[ch].values() for u in us.values()]
 
 

@@ -30,11 +30,12 @@ from .core import (
     SND,
     AbstractExecution,
     AlgorithmRefused,
-    Event,
+    Instance,
     Verdict,
     classify_channels,
     communication_topology,
     format_cap,
+    make_instance,
     pending_edges,
     rf_defect,
 )
@@ -45,45 +46,38 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-def solve_sync(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: Sequence[tuple[int, int]],
-) -> Verdict:
+def solve_sync(inst: Instance) -> Verdict:
     """All-synchronous fast path: consistent iff program order is acyclic on
     the rendezvous blocks; the witness is their block sort."""
-    if any(cap[e.channel] != 0 for e in x.events):
+    cap = inst.cap_map
+    if any(cap[e.channel] != 0 for e in inst.events):
         raise AlgorithmRefused("solve_sync requires all channels synchronous")
-    bad = rf_defect(x, cap, rf)
+    bad = rf_defect(inst)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
-    witness = _block_sort(x, cap, rf, ())
+    witness = _block_sort(inst, ())
     if witness is None:
         return Verdict(INCONSISTENT, reason="rendezvous blocks form a program-order cycle")
     return Verdict(CONSISTENT, witness=witness)
 
 
-def _block_sort(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: Sequence[tuple[int, int]],
-    orderings: Sequence[tuple[int, int]],
-) -> tuple[int, ...] | None:
-    """Sort the events under po plus ``orderings`` (pairs of event ids), or
-    return ``None`` when they are cyclic.  Each synchronous rf pair is one
+def _block_sort(inst: Instance, orderings: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
+    """Sort the events under po plus ``orderings`` (pairs of dense indices),
+    or return ``None`` when they are cyclic.  Each synchronous rf pair is one
     block, named by the dense index of its send; the lowest ready block goes
     first, so ties go by the (thread token, po) of a block's first event."""
-    events, index, thr_of = x.events, x.index, x.thr_of
+    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
+    events, thr_of = x.events, x.thr_of
     n = len(events)
     head = list(range(n))  # event -> its block
     tail = [-1] * n  # synchronous send -> its receive
-    for s, r in rf:
-        if cap[events[index[s]].channel] == 0:
-            head[index[r]], tail[index[s]] = index[s], index[r]
+    for i, e in enumerate(events):
+        if e.op == SND and mate[i] >= 0 and cap[e.channel] == 0:
+            head[mate[i]], tail[i] = i, mate[i]
     indeg = [0] * n
     later: dict[int, list[int]] = defaultdict(list)  # block -> blocks ordered after it
     for e, f in orderings:
-        u, v = head[index[e]], head[index[f]]
+        u, v = head[e], head[f]
         if u != v:  # not a rendezvous's own send and receive
             later[u].append(v)
             indeg[v] += 1
@@ -224,11 +218,7 @@ def _classify(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, float
     return eff_cap
 
 
-def encode_2sat(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: Sequence[tuple[int, int]],
-) -> TwoSatFormula:
+def encode_2sat(inst: Instance) -> TwoSatFormula:
     """Encode a ≤2-thread instance whose channels are synchronous, capacity-1,
     or effectively unbounded.
 
@@ -263,9 +253,10 @@ def encode_2sat(
     two-thread instance every pair is compared, also on a channel that one
     thread uses alone; :func:`solve_acyclic` builds no such projection.
     """
+    x, mate = inst.abstract, inst.mate
     if len(x.threads) > 2:
         raise AlgorithmRefused("2SAT encoding requires at most two threads")
-    eff_cap = _classify(x, cap)
+    eff_cap = _classify(x, inst.cap_map)
 
     events, index, thr_of, pos_of = x.events, x.index, x.thr_of, x.pos_of
     n = len(events)
@@ -274,9 +265,8 @@ def encode_2sat(
     k = x.start[1] if len(x.threads) == 2 else n
     w = n - k
 
-    def lit(e: int, g: int):
-        """Literal asserting event e is ordered before event g."""
-        i, j = index[e], index[g]
+    def lit(i: int, j: int):
+        """Literal asserting that dense event i is ordered before dense event j."""
         if thr_of[i] == thr_of[j]:
             return TRUE if i < j else FALSE
         return i * w + j - k + 1 if i < j else -(j * w + i - k + 1)
@@ -286,22 +276,22 @@ def encode_2sat(
     f.clauses.extend((-v, v - w) for v in range(w + 1, f.nvars + 1))
     f.clauses.extend((-v, v + 1) for v in range(1, f.nvars + 1) if v % w)
 
-    # Reads-from orderings.
-    for s, r in rf:
-        f.add(lit(s, r))
+    # Reads-from orderings, in sorted rf order.
+    for s, _ in inst.rf:
+        i = index[s]
+        f.add(lit(i, mate[i]))
 
-    rcv_of = dict(rf)
     sends_by_ch: dict[str, list[int]] = defaultdict(list)
-    for ev in events:
+    for i, ev in enumerate(events):
         if ev.op == SND:
-            sends_by_ch[ev.channel].append(ev.id)
+            sends_by_ch[ev.channel].append(i)
     private = len(x.threads) == 1
     near = 1 if private else n  # how many later sends or pairs to compare
-    for m, u in pending_edges(x, rf):  # matched sends before unmatched sends
+    for m, u in pending_edges(inst):  # matched sends before unmatched sends
         f.add(lit(m, u))
     for ch in x.channels:
         sends = sends_by_ch[ch]  # in dense order, so po-ordered per thread
-        table = [(s, rcv_of[s]) for s in sends if s in rcv_of]
+        table = [(s, mate[s]) for s in sends if mate[s] >= 0]
 
         # FIFO between pairs.
         for i, (e, e2) in enumerate(table):
@@ -316,20 +306,19 @@ def encode_2sat(
             if len(sends) - len(table) > 1:
                 f.add(FALSE, FALSE)
             for i, e in enumerate(sends):
-                if e in rcv_of:
+                if mate[e] >= 0:
                     later = sends[i + 1 : i + 1 + near]
                     for e2 in later if private else sends[:i] + later:
-                        f.add(_neg(lit(e, e2)), lit(rcv_of[e], e2))
+                        f.add(_neg(lit(e, e2)), lit(mate[e], e2))
         elif eff_cap[ch] == 0:
             # Nothing fits between a synchronous send and its receive: the
             # receive precedes the send's po successor, and the receive's po
             # predecessor precedes the send.
             for e, r in table:
-                i, j = index[e] + 1, index[r]
-                if i < n and pos_of[i] > 0:
-                    f.add(lit(r, events[i].id))
-                if pos_of[j] > 0:
-                    f.add(lit(events[j - 1].id, e))
+                if e + 1 < n and pos_of[e + 1] > 0:
+                    f.add(lit(r, e + 1))
+                if pos_of[r] > 0:
+                    f.add(lit(r - 1, e))
     return f
 
 
@@ -346,20 +335,19 @@ def _neg(l):
 # ---------------------------------------------------------------------------
 
 
-def solve_acyclic(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: tuple[tuple[int, int], ...],
-) -> Verdict:
+def solve_acyclic(inst: Instance) -> Verdict:
     """Compositional solver for acyclic communication topologies.
 
     Groups the channels by their users (``communication_topology(x).users``).
     In an acyclic topology no channel has three users, so each group is either
     the channels of one topology edge or the private channels of one thread.
     Each group's projection (its events, program order as the induced
-    subsequence) is decided by one 2SAT encoding; in a single-thread
-    projection every literal folds to a po constant, which checks the FIFO and
-    capacity rules along program order.  Consistent iff all projections pass.
+    subsequence), built by :func:`~chanlin.core.make_instance`, is decided by
+    one 2SAT encoding; in a single-thread projection every literal folds to a
+    po constant, which checks the FIFO and capacity rules along program order.
+    Consistent iff all projections pass.  A projection's events are in the
+    instance's dense order, so its dense index k is ``idx[k]`` of the
+    instance.
 
     The transitivity clauses make the events of one thread that follow an
     event of the other a po suffix, so a two-thread model is one interleaving
@@ -369,29 +357,31 @@ def solve_acyclic(
     transitive closure of all k·w pair orderings of the model, so the sort,
     which takes the lowest ready block, returns the same order.
     """
+    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
     _classify(x, cap)
     topo = communication_topology(x)
     if not topo.acyclic:
         raise AlgorithmRefused("communication topology is cyclic")
 
-    bad = rf_defect(x, cap, rf)
+    bad = rf_defect(inst)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
 
     users = topo.users
-    sub_events: dict[tuple[str, ...], list[Event]] = defaultdict(list)
-    for e in x.events:
-        sub_events[users[e.channel]].append(e)
-    events, index = x.events, x.index
+    events = x.events
+    sub_idx: dict[tuple[str, ...], list[int]] = defaultdict(list)
     sub_rf: dict[tuple[str, ...], list[tuple[int, int]]] = defaultdict(list)
-    for s, r in rf:  # rf_defect has put both ends on one channel
-        sub_rf[users[events[index[s]].channel]].append((s, r))
+    for i, e in enumerate(events):  # mate has put both ends of a pair on one channel
+        sub_idx[users[e.channel]].append(i)
+        if e.op == SND and mate[i] >= 0:
+            sub_rf[users[e.channel]].append((e.id, events[mate[i]].id))
 
     # Single-thread projections first, then the topology edges in order.
     orderings: list[tuple[int, int]] = []
-    for ts in sorted(sub_events, key=lambda ts: (len(ts), ts)):
-        sub = AbstractExecution(events=tuple(sub_events[ts]))
-        assign = solve_2sat(encode_2sat(sub, cap, tuple(sub_rf[ts])))
+    for ts in sorted(sub_idx, key=lambda ts: (len(ts), ts)):
+        idx = sub_idx[ts]
+        sub = make_instance("abstract", [events[i] for i in idx], cap, sub_rf[ts])
+        assign = solve_2sat(encode_2sat(sub))
         if assign is None:
             reason = f"projection ({','.join(ts)}) unsatisfiable"
             if len(ts) == 1:
@@ -399,21 +389,20 @@ def solve_acyclic(
                 reason += f" on private channels {', '.join(private)}"
             return Verdict(INCONSISTENT, reason=reason)
         if len(ts) == 2:  # variable i·w + (j−k) + 1 orders dense events i < k ≤ j
-            ids, k = [e.id for e in sub.events], sub.start[1]
-            n, w = len(ids), len(ids) - k
+            k = sub.abstract.start[1]
+            n, w = len(idx), len(idx) - k
             i, j, merged = 0, k, []
             while i < k and j < n:
                 if assign[i * w + j - k + 1]:
-                    merged.append(ids[i])
+                    merged.append(idx[i])
                     i += 1
                 else:
-                    merged.append(ids[j])
+                    merged.append(idx[j])
                     j += 1
-            merged += ids[i:k] + ids[j:]
+            merged += idx[i:k] + idx[j:]
             orderings.extend(zip(merged, merged[1:]))
 
-    witness = _block_sort(x, cap, rf, orderings)
+    witness = _block_sort(inst, orderings)
     if witness is None:
         raise AlgorithmRefused("witness assembly failed to linearize")
     return Verdict(CONSISTENT, witness=witness)
-

@@ -3,10 +3,10 @@
 A frontier state summarizes a po-downward-closed set of executed events as a
 plain tuple ``(counts, queues, pending)``: per-thread counters, the pending
 (sent, not yet received) contents of every asynchronous channel as FIFO
-queues of send event ids, and the thread whose last executed event is a
-pending synchronous send, or None; given ``counts``, that thread names the
-send.  The instance is consistent iff a sink state (all events executed, no
-pending synchronous send) is reachable from the empty source state.
+queues of the sends' dense indices, and the thread whose last executed event
+is a pending synchronous send, or None; given ``counts``, that thread names
+the send.  The instance is consistent iff a sink state (all events executed,
+no pending synchronous send) is reachable from the empty source state.
 
 Depth-first search expands states on the fly.  It keeps one ``seen`` set, a
 stack of ``(state, event)`` pairs and one ``path`` list, which is the witness.
@@ -22,9 +22,10 @@ asynchronous channel, only that receive is expanded: the first such one in
 thread order.  This is a persistent-set reduction (Godefroid, *Partial-Order
 Methods for the Verification of Concurrent Systems*, 1996), and it is sound:
 
-1. ``rf_defect`` has already made rf injective, so the channel's front, the
-   receive's own rf source, can be taken by no other receive.  No path from
-   the state fires another receive on that channel before this one.
+1. rf is injective (:attr:`~chanlin.core.Instance.mate` checks it before
+   any search), so the channel's front, the receive's own rf source, can be
+   taken by no other receive.  No path from the state fires another receive
+   on that channel before this one.
 2. Sends only append to a channel, and the receive only frees capacity, so
    every other event of such a path stays enabled with the receive moved
    first, and the path ends with the same queues.  The receive never sits
@@ -58,94 +59,76 @@ from __future__ import annotations
 
 from itertools import pairwise
 from operator import ge
-from typing import Mapping
 
-from .core import (
-    CONSISTENT,
-    INCONSISTENT,
-    SND,
-    AbstractExecution,
-    Verdict,
-    rf_defect,
-)
+from .core import CONSISTENT, INCONSISTENT, SND, Instance, Verdict, rf_defect
 from .saturation import SaturatedOrder, saturate
 
 
-def solve_vch(x: AbstractExecution, cap: Mapping[str, float]) -> Verdict:
-    """Decide VCh (value-based) consistency by frontier reachability."""
-    for e in x.events:
+def solve_vch(inst: Instance) -> Verdict:
+    """Decide VCh (value-based) consistency by frontier reachability; the
+    instance's rf, if any, is ignored."""
+    for e in inst.events:
         if e.value is None:
             raise ValueError(f"event {e.id} lacks a value (required for VCh)")
-    return _search(x, cap, rf=None, order=None)
+    return _search(inst, by_rf=False, order=None)
 
 
-def solve_vchrf(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: tuple[tuple[int, int], ...],
-) -> Verdict:
+def solve_vchrf(inst: Instance) -> Verdict:
     """Decide VCh-rf consistency by frontier reachability."""
-    bad = rf_defect(x, cap, rf)
+    bad = rf_defect(inst)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
-    return _search(x, cap, rf=rf, order=None)
+    return _search(inst, by_rf=True, order=None)
 
 
-def solve_vchrf_saturated(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: tuple[tuple[int, int], ...],
-) -> Verdict:
+def solve_vchrf_saturated(inst: Instance) -> Verdict:
     """VCh-rf with saturation: early cycle rejection, then pruned search."""
-    bad = rf_defect(x, cap, rf)
+    bad = rf_defect(inst)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
-    order = saturate(x, cap, rf)
+    order = saturate(inst)
     if order.cyclic:
         return Verdict(INCONSISTENT, explored=0, reason="saturation cycle")
-    return _search(x, cap, rf=rf, order=order)
+    return _search(inst, by_rf=True, order=order)
 
 
-def _search(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: tuple[tuple[int, int], ...] | None,
-    order: SaturatedOrder | None,
-) -> Verdict:
+def _search(inst: Instance, by_rf: bool, order: SaturatedOrder | None) -> Verdict:
+    x, cap = inst.abstract, inst.cap_map
+    events = x.events
     t = len(x.threads)
-    async_chs = sorted({e.channel for e in x.events if cap[e.channel] > 0})
+    async_chs = sorted({e.channel for e in events if cap[e.channel] > 0})
     ch_index = {ch: i for i, ch in enumerate(async_chs)}
 
-    # A receive matches a front (or pending) send iff both carry one tag: the
-    # send's id and the receive's rf source under rf, their values otherwise.
-    if rf is not None:
-        src_of = {r: s for s, r in rf}
-        tag = {e.id: e.id if e.op == SND else src_of.get(e.id) for e in x.events}
+    # Queues hold the dense index of each send.  A receive matches a front (or
+    # pending) send iff both carry one tag: the send's index and the receive's
+    # rf partner under rf, their values otherwise.
+    if by_rf:
+        mate = inst.mate
+        tag = [i if e.op == SND else mate[i] for i, e in enumerate(events)]
     else:
-        tag = {e.id: e.value for e in x.events}
+        tag = [e.value for e in events]
 
-    # Per thread position: (id, is send, channel, queue slot or -1 when
-    # synchronous, capacity, tag, saturated predecessor counts or None when
-    # the step needs no readiness test).
+    # Per thread position: (dense index, is send, channel, queue slot or -1
+    # when synchronous, capacity, tag, saturated predecessor counts or None
+    # when the step needs no readiness test).
     steps = [
         [
             (
-                e.id,
+                i,
                 e.op == SND,
                 e.channel,
                 ch_index.get(e.channel, -1),
                 cap[e.channel],
-                tag[e.id],
+                tag[i],
                 order.pred_counts[i]
                 if order is not None and (e.op == SND or cap[e.channel] == 0)
                 else None,
             )
-            for i, e in enumerate(x.events[a:b], a)
+            for i, e in enumerate(events[a:b], a)
         ]
         for a, b in pairwise(x.start)
     ]
     lens = tuple(len(s) for s in steps)
-    safe = rf is not None
 
     source = ((0,) * t, ((),) * len(async_chs), None)
     seen = {source}
@@ -157,7 +140,8 @@ def _search(
         if d:
             path[d - 1] = event
         if pending is None and counts == lens:
-            return Verdict(CONSISTENT, witness=tuple(path), explored=len(seen))
+            witness = tuple(events[i].id for i in path)
+            return Verdict(CONSISTENT, witness=witness, explored=len(seen))
         if pending is not None:
             _, _, pch, _, _, ptag, _ = steps[pending][counts[pending] - 1]
 
@@ -166,7 +150,7 @@ def _search(
             k = counts[ti]
             if k == lens[ti]:
                 continue
-            eid, snd, ch, qi, c, w, need = steps[ti][k]
+            i, snd, ch, qi, c, w, need = steps[ti][k]
             if pending is not None:
                 if snd or ch != pch or ti == pending or w != ptag:
                     continue
@@ -179,7 +163,7 @@ def _search(
                 q = queues[qi]
                 if len(q) >= c:
                     continue
-                nq, np = queues[:qi] + (q + (eid,),) + queues[qi + 1 :], None
+                nq, np = queues[:qi] + (q + (i,),) + queues[qi + 1 :], None
             else:
                 q = queues[qi]
                 if not q or tag[q[0]] != w:
@@ -188,10 +172,10 @@ def _search(
             if need is not None and not all(map(ge, counts, need)):
                 continue
             child = (counts[:ti] + (k + 1,) + counts[ti + 1 :], nq, np)
-            if safe and pending is None and not snd:
-                children = [(child, eid)]
+            if by_rf and pending is None and not snd:
+                children = [(child, i)]
                 break
-            children.append((child, eid))
+            children.append((child, i))
         # Push in reverse so the lowest thread token is expanded first.
         for pair in reversed(children):
             if pair[0] not in seen:

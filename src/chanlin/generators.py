@@ -718,8 +718,10 @@ def mutate_rf(
     rng = random.Random(seed)
     if rounds is None:
         rounds = max(5, math.ceil(0.05 * instance.n))
-    by_snd: dict[int, int] = dict(instance.rf)
-    matched = sorted(by_snd)  # kept sorted across rounds
+    x = instance.abstract
+    events, index = x.events, x.index
+    mate = list(instance.mate)  # receives' entries go stale; only sends' are read
+    matched = [s for s, _ in instance.rf]  # kept sorted across rounds
     sends_by_ch: dict[str, list[int]] = defaultdict(list)
     slot: dict[int, tuple[list[int], int]] = {}  # send -> its channel's sends, its place
     for e in instance.events:
@@ -732,28 +734,23 @@ def mutate_rf(
     skipped = 0
     for _ in range(rounds):
         s1 = matched[rng.randrange(len(matched))]
-        r1 = by_snd[s1]
         sends, k1 = slot[s1]
         if len(sends) == 1:
             skipped += 1
             continue
         k = rng.randrange(len(sends) - 1)  # a send of the channel other than s1
         s2 = sends[k + (k >= k1)]
-        r2 = by_snd.get(s2)
-        del by_snd[s1]
-        if r2 is not None:
-            by_snd[s1] = r2
-        else:  # s1 leaves the matched sends and s2 joins them
+        i1, i2 = index[s1], index[s2]
+        if mate[i2] < 0:  # s1 leaves the matched sends and s2 joins them
             del matched[bisect_left(matched, s1)]
             insort(matched, s2)
-        by_snd[s2] = r1
+        mate[i1], mate[i2] = mate[i2], mate[i1]
         applied += 1
 
     stripped = [
         Event(id=e.id, thread=e.thread, op=e.op, channel=e.channel)
         for e in instance.events
     ]
-    mutated = make_instance(
-        "abstract", stripped, instance.cap_map, tuple(sorted(by_snd.items()))
-    )
+    rf = [(s, events[mate[index[s]]].id) for s in matched]
+    mutated = make_instance("abstract", stripped, instance.cap_map, rf)
     return mutated, applied, skipped

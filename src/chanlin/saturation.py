@@ -48,9 +48,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Mapping, Sequence
 
-from .core import SND, AbstractExecution, classify_channels, pending_edges
+from .core import RCV, SND, AbstractExecution, Instance, classify_channels, pending_edges
 
 
 @dataclass
@@ -70,11 +69,7 @@ class SaturatedOrder:
     pred_counts: list[tuple[int, ...]] = field(repr=False, default_factory=list)
 
 
-def saturate(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: Sequence[tuple[int, int]],
-) -> SaturatedOrder:
+def saturate(inst: Instance) -> SaturatedOrder:
     """Compute the least fixpoint of the four saturation rules.
 
     Worklist algorithm over direct-edge adjacency: popping an event flows its
@@ -105,22 +100,17 @@ def saturate(
     when a derived edge lowers a row it read, so the worst case stays
     O(t·n³), while a token ring (nothing derived) pops each event once.
     """
+    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
     t = len(x.threads)
     n = x.n
-    index, thr_of, pos_of, start = x.index, x.thr_of, x.pos_of, x.start
+    events, thr_of, pos_of, start = x.events, x.thr_of, x.pos_of, x.start
 
     eff_cap = classify_channels(x, cap)
-    ch_of = [e.channel for e in x.events]
+    ch_of = [e.channel for e in events]
     big = n + 1  # sentinel: larger than any po position
     succ: list[list[int]] = [[big] * t for _ in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
-
-    rcv_of: dict[int, int] = {}  # matched send idx -> its rcv idx
-    snd_of: dict[int, int] = {}  # matched rcv idx -> its send idx
-    for s, r in rf:
-        si, ri = index[s], index[r]
-        rcv_of[si], snd_of[ri] = ri, si
-        preds[ri].append(si)
+    # rf edges first: every matched receive's list starts with its send.
+    preds: list[list[int]] = [[m] if m >= 0 and e.op == RCV else [] for e, m in zip(events, mate)]
 
     def link(u: int, v: int) -> None:
         """Add the static edge u → v and its rule 3 copies (from u's receive,
@@ -128,10 +118,10 @@ def saturate(
         preds[v].append(u)
         if cap[ch_of[u]] != 0 and cap[ch_of[v]] != 0:
             return
-        ru = rcv_of.get(u, -1) if cap[ch_of[u]] == 0 else -1
-        sv = snd_of.get(v, -1) if cap[ch_of[v]] == 0 else -1
+        ru = mate[u] if cap[ch_of[u]] == 0 and events[u].op == SND else -1
+        sv = mate[v] if cap[ch_of[v]] == 0 and events[v].op == RCV else -1
         for a, b in ((ru, v), (u, sv), (ru, sv)):
-            if a >= 0 and b >= 0 and a != b and snd_of.get(a) != b and a not in preds[b]:
+            if a >= 0 and b >= 0 and a != b and mate[a] != b and a not in preds[b]:
                 preds[b].append(a)
 
     # Program order: immediate successor edges seed both succ and preds.
@@ -141,20 +131,22 @@ def saturate(
             link(a, a + 1)
 
     # Rule 2: matched sends precede unmatched sends, one edge per thread pair.
-    for m, u in pending_edges(x, rf):
-        link(index[m], index[u])
+    for m, u in pending_edges(inst):
+        link(m, u)
 
     # Partner tables: per channel and thread, the sorted po positions of the
     # matched sends, of the matched receives and, on capacity-1 channels, of
     # all sends.  The event at position p of thread ti has index start[ti] + p.
     def positions(idxs) -> dict[str, list[list[int]]]:
         tab: dict[str, list[list[int]]] = {}
-        for i in sorted(idxs):
+        for i in idxs:  # dense order, so each list comes out sorted
             tab.setdefault(ch_of[i], [[] for _ in range(t)])[thr_of[i]].append(pos_of[i])
         return tab
 
-    cap1 = (i for i, e in enumerate(x.events) if e.op == SND and eff_cap[e.channel] == 1)
-    snd_tab, rcv_tab, cap1_tab = positions(rcv_of), positions(snd_of), positions(cap1)
+    snds = [i for i, e in enumerate(events) if e.op == SND]
+    snd_tab = positions(i for i in snds if mate[i] >= 0)
+    rcv_tab = positions(i for i, e in enumerate(events) if e.op == RCV and mate[i] >= 0)
+    cap1_tab = positions(i for i in snds if eff_cap[ch_of[i]] == 1)
 
     # Kahn order over the static edges, sinks first; an event left out lies
     # on a cycle of static edges.
@@ -216,16 +208,15 @@ def saturate(
         in_list[a] = False
         ch = ch_of[a]
         # Rules 1 and 4, on the earliest partner per thread only.
-        r1 = rcv_of.get(a)
-        if r1 is not None:
+        m = mate[a]
+        if m >= 0 and events[a].op == SND:  # a = s1 and m = r1
             for s2 in partners(a, snd_tab[ch]):
-                derive(r1, rcv_of[s2])
+                derive(m, mate[s2])
             for s2 in partners(a, cap1_tab.get(ch, ())):
-                derive(r1, s2)
-        s1 = snd_of.get(a)
-        if s1 is not None:
+                derive(m, s2)
+        elif m >= 0:  # a = r1 and m = s1
             for r2 in partners(a, rcv_tab[ch]):
-                derive(s1, snd_of[r2])
+                derive(m, mate[r2])
         if cyclic:
             break
         # Transitive backward propagation to direct predecessors.

@@ -2,11 +2,29 @@
 
 Every event gets an integer position variable ``x_<id>`` in ``[0, n-1]``;
 every channel gets prefix counters ``y_<ch>_snd_<i>`` / ``y_<ch>_rcv_<i>``
-for ``0 <= i <= n``.  The assertions say positions are distinct, respect
-program order and reads-from (synchronous pairs are adjacent), matched pairs
-obey FIFO, matched sends precede unmatched ones, and every prefix satisfies
-the capacity sandwich ``y_rcv <= y_snd <= y_rcv + cap``.  The formula is
-satisfiable iff the instance is consistent.
+for ``0 <= i <= n``, the sends and receives at positions below i.  The
+assertions say positions are distinct, respect program order and reads-from
+(synchronous pairs are adjacent), matched pairs obey FIFO, matched sends
+precede unmatched ones, and every prefix satisfies the capacity sandwich
+``y_rcv <= y_snd <= y_rcv + cap``, with cap read as 1 on a synchronous
+channel.  When :func:`~chanlin.core.rf_defect` finds a defect, the formula
+also asserts ``false``.
+
+The formula is satisfiable iff the instance is consistent.  A witness gives a
+model: its positions respect po and rf; FIFO delivery orders the receives of
+matched sends as the sends, and a matched send after an unmatched one could
+only be received after it; an asynchronous channel holds between 0 and cap
+messages; and on a synchronous channel each send is followed at once by its
+receive, so a prefix has at most one send more than receives.  (Bounding that
+difference by 0 would forbid every rendezvous.)  Conversely, the positions of
+a model order the events as a po-respecting trace.  With no rf defect, every
+receive has its rf source.  On an asynchronous channel the matched sends
+precede the unmatched ones and are received in their own order, so the k-th
+receive takes the k-th send, which is sent before it and is at the front of
+the queue, and the counters keep the queue within capacity.  On a synchronous
+channel every send is matched, the pair is adjacent and in two threads, and
+every receive is matched: the channel's events are back-to-back rendezvous.
+So the trace is well formed and realizes rf.
 
 Matched before unmatched sends is asserted for the pairs of
 :func:`~chanlin.core.pending_edges` only; the program-order asserts
@@ -14,7 +32,8 @@ Matched before unmatched sends is asserted for the pairs of
 same.
 
 Optionally the saturated order strengthens the formula with derived ``<``
-constraints; a saturation cycle collapses it to ``(assert false)``.
+constraints, which every concretization respects; a saturation cycle
+collapses the formula to ``(assert false)``.
 """
 
 from __future__ import annotations
@@ -22,9 +41,8 @@ from __future__ import annotations
 import shlex
 import subprocess
 from itertools import pairwise
-from typing import Mapping, Sequence
 
-from .core import INF, RCV, SND, AbstractExecution, format_cap, pending_edges
+from .core import INF, RCV, SND, Instance, format_cap, pending_edges, rf_defect
 from .saturation import saturate
 
 SAT = "sat"
@@ -40,13 +58,10 @@ class SolverError(Exception):
         self.output = output
 
 
-def emit_smtlib(
-    x: AbstractExecution,
-    cap: Mapping[str, float],
-    rf: Sequence[tuple[int, int]],
-    with_saturation: bool = False,
-) -> str:
+def emit_smtlib(inst: Instance, with_saturation: bool = False) -> str:
     """Emit SMT-LIB v2 text; see the module docstring for the encoding."""
+    x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+    defect = rf_defect(inst)  # reads mate, so a bad rf pair raises here
     n = x.n
     channels = sorted(cap)
     events, index = x.events, x.index
@@ -70,7 +85,7 @@ def emit_smtlib(
     for a, b in pairwise(x.start):
         for i in range(a, b - 1):
             lines.append(f"(assert (< x_{event_ids[i]} x_{event_ids[i + 1]}))")
-    for s, r in sorted(rf):
+    for s, r in rf:
         if cap[events[index[s]].channel] == 0:
             lines.append(f"(assert (= (+ x_{s} 1) x_{r}))")
         else:
@@ -82,15 +97,15 @@ def emit_smtlib(
     rcvs_by_ch: dict[str, list[int]] = {ch: [] for ch in channels}
     for e in events:
         (sends_by_ch if e.op == SND else rcvs_by_ch)[e.channel].append(e.id)
-    for s, r in sorted(rf):
+    for s, r in rf:
         pairs_by_ch.setdefault(events[index[s]].channel, []).append((s, r))
     for ch in channels:
         table = pairs_by_ch.get(ch, [])
         for i, (s, r) in enumerate(table):
             for s2, r2 in table[i + 1 :]:
                 lines.append(f"(assert (= (< x_{s} x_{s2}) (< x_{r} x_{r2})))")
-    for m, u in pending_edges(x, rf):
-        lines.append(f"(assert (< x_{m} x_{u}))")
+    for m, u in pending_edges(inst):
+        lines.append(f"(assert (< x_{event_ids[m]} x_{event_ids[u]}))")
 
     # Prefix counters and capacity sandwich.
     for ch in channels:
@@ -104,7 +119,7 @@ def emit_smtlib(
                 else:
                     total = f"y_{ch}_{op}_{i}"
                 lines.append(f"(assert (= y_{ch}_{op}_{i + 1} {total}))")
-        c = cap[ch]
+        c = cap[ch] or 1  # a rendezvous's send is one ahead until its receive
         for i in range(n + 1):
             lines.append(f"(assert (<= y_{ch}_rcv_{i} y_{ch}_snd_{i}))")
             if c != INF:
@@ -112,8 +127,10 @@ def emit_smtlib(
                     f"(assert (<= y_{ch}_snd_{i} (+ y_{ch}_rcv_{i} {format_cap(c)})))"
                 )
 
+    if defect is not None:
+        lines.append("(assert false)")
     if with_saturation:
-        order = saturate(x, cap, tuple(rf))
+        order = saturate(inst)
         if order.cyclic:
             lines.append("; saturated order contains a cycle")
             lines.append("(assert false)")

@@ -81,18 +81,18 @@ class TestCriterion1FigureVerdicts:
                 assert got == Violation(*want)
 
         pos = parse_instance((fixtures / "two_thread_cap1_positive.vchk").read_text())
-        assert solve_vch(pos.abstract, pos.cap_map).consistent
+        assert solve_vch(pos).consistent
 
         neg = parse_instance((fixtures / "two_thread_cap1_negative_rf.vchk").read_text())
-        assert not solve_vchrf(neg.abstract, neg.cap_map, neg.rf).consistent
+        assert not solve_vchrf(neg).consistent
 
         three = parse_instance((fixtures / "three_thread_cap2_positive.vchk").read_text())
-        v = solve_vch(three.abstract, three.cap_map)
+        v = solve_vch(three)
         assert v.consistent and len(v.witness) == 4
         assert_valid_witness(three, v)
 
         tri = parse_instance((fixtures / "sync_triangle_positive.vchk").read_text())
-        assert_valid_witness(tri, solve_sync(tri.abstract, tri.cap_map, tri.rf))
+        assert_valid_witness(tri, solve_sync(tri))
 
         assert time.monotonic() - t0 < 1.0
 
@@ -104,16 +104,16 @@ class TestCriterion2OracleEquivalence:
             x, cap, rf = inst.abstract, inst.cap_map, inst.rf
             want = brute_force(x, cap, rf)
             if rf is None:
-                got = solve_vch(x, cap)
+                got = solve_vch(inst)
             else:
-                got = solve_vchrf(x, cap, rf)
+                got = solve_vchrf(inst)
                 if x.events and all(cap[e.channel] == 0 for e in x.events):
                     try:
-                        assert solve_sync(x, cap, rf).outcome == want.outcome
+                        assert solve_sync(inst).outcome == want.outcome
                     except AlgorithmRefused:
                         pass
                 try:
-                    assert solve_acyclic(x, cap, rf).outcome == want.outcome
+                    assert solve_acyclic(inst).outcome == want.outcome
                 except AlgorithmRefused:
                     pass
             assert got.outcome == want.outcome
@@ -127,16 +127,15 @@ class TestCriterion3PruningSoundness:
         for inst in _suite(1000):
             if inst.rf is None:
                 continue
-            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-            plain = solve_vchrf(x, cap, rf)
-            pruned = solve_vchrf_saturated(x, cap, rf)
+            plain = solve_vchrf(inst)
+            pruned = solve_vchrf_saturated(inst)
             assert pruned.outcome == plain.outcome
             if pruned.consistent:
                 assert_valid_witness(inst, pruned)
 
     def test_negative_fixture_rejected_without_search(self, fixtures):
         inst = parse_instance((fixtures / "two_thread_cap1_negative_rf.vchk").read_text())
-        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf_saturated(inst)
         assert not v.consistent
         assert v.explored == 0
 
@@ -151,7 +150,7 @@ class TestCriterion4ReductionRoundTrips:
             edges = tuple(e for e in possible if rng.random() < rng.uniform(0.15, 0.95))
             g = Graph(n, edges)
             inst = from_hamiltonian(g)
-            got = solve_vch(inst.abstract, inst.cap_map).consistent
+            got = solve_vch(inst).consistent
             assert got == has_hamiltonian_cycle(g), (n, edges)
         assert time.monotonic() - t0 < 120
 
@@ -168,7 +167,7 @@ class TestCriterion4ReductionRoundTrips:
             for combo in itertools.combinations(patterns, size):
                 f = CnfFormula(3, combo)
                 inst = from_3sat_t3_m5(f)
-                got = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+                got = solve_vchrf_saturated(inst)
                 assert got.consistent == satisfiable(f), combo
                 count += 1
         assert count == 162
@@ -184,9 +183,8 @@ class TestCriterion4ReductionRoundTrips:
         for size in (7, 8):
             for combo in itertools.combinations(patterns, size):
                 inst = from_3sat_t3_m5(CnfFormula(3, combo))
-                x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-                pruned = solve_vchrf_saturated(x, cap, rf)
-                plain = solve_vchrf(x, cap, rf)
+                pruned = solve_vchrf_saturated(inst)
+                plain = solve_vchrf(inst)
                 assert pruned.consistent == plain.consistent == (size == 7), combo
                 for got in (pruned, plain):
                     if got.consistent:
@@ -209,7 +207,7 @@ class TestCriterion4ReductionRoundTrips:
             done += 1
             ov = OvInstance(tuple(vecs[:n]), tuple(vecs[n:]))
             inst = from_orthogonal_vectors(ov)
-            got = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+            got = solve_vchrf_saturated(inst)
             assert got.consistent == has_orthogonal_pair(ov), ov
         assert time.monotonic() - t0 < 120
 
@@ -223,7 +221,7 @@ class TestCriterion4ReductionRoundTrips:
                 continue
             done += 1
             inst = from_vsc_read(v)
-            got = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+            got = solve_vchrf_saturated(inst)
             assert got.consistent == sc_consistent(v), v
         assert time.monotonic() - t0 < 120
 
@@ -242,7 +240,7 @@ class TestCriterion5SaturationScaling:
             eid += 2
         inst = make_instance("abstract", events, cap, rf)
         t0 = time.monotonic()
-        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf_saturated(inst)
         elapsed = time.monotonic() - t0
         assert v.consistent
         assert v.explored == inst.n + 1
@@ -252,7 +250,7 @@ class TestCriterion5SaturationScaling:
         inst = token_ring(250, (0.0, 1.0, 2.0, INF))
         assert inst.n == 2000
         t0 = time.monotonic()
-        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf_saturated(inst)
         elapsed = time.monotonic() - t0
         assert v.consistent
         assert v.explored == inst.n + 1
@@ -264,7 +262,7 @@ class TestCriterion5SaturationScaling:
         inst = token_ring(2000, (0.0, 1.0, 2.0, INF))
         assert inst.n == 16000
         t0 = time.monotonic()
-        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf_saturated(inst)
         elapsed = time.monotonic() - t0
         assert v.consistent
         assert v.explored == inst.n + 1
@@ -283,7 +281,7 @@ class TestCriterion5SaturationScaling:
         inst = make_instance("abstract", events, {"c": INF}, rf)
         assert inst.n == 6000
         t0 = time.monotonic()
-        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf_saturated(inst)
         elapsed = time.monotonic() - t0
         assert v.consistent
         assert v.explored == 7001
@@ -297,7 +295,7 @@ class TestCriterion6MutationStatistics:
         for seed in range(200):
             inst, _ = random_positive(40, 3, 4, [0.0, 0.0, 1.0, 1.0, INF], seed)
             mutated, _, _ = mutate_rf(inst, seed=seed + 5000)
-            v = solve_vchrf_saturated(mutated.abstract, mutated.cap_map, mutated.rf)
+            v = solve_vchrf_saturated(mutated)
             if not v.consistent:
                 inconsistent += 1
         assert inconsistent >= 100
@@ -335,7 +333,7 @@ class TestCriterion8SmtEmitter:
         for seed in range(50):
             rng = random.Random(2000 + seed)
             inst = rand_instance(rng, with_rf=True)
-            text = emit_smtlib(inst.abstract, inst.cap_map, inst.rf)
+            text = emit_smtlib(inst)
             n, m = inst.n, len(inst.cap)
             assert text.count("(declare-const") == n + m * (2 * n + 2)
 
@@ -348,8 +346,8 @@ class TestCriterion8SmtEmitter:
         for seed in range(100):
             rng = random.Random(3000 + seed)
             inst = rand_instance(rng, with_rf=True)
-            want = solve_vchrf(inst.abstract, inst.cap_map, inst.rf)
+            want = solve_vchrf(inst)
             path = tmp_path / f"{seed}.smt2"
-            path.write_text(emit_smtlib(inst.abstract, inst.cap_map, inst.rf))
+            path.write_text(emit_smtlib(inst))
             got = run_external_solver(str(path), cmd)
             assert got == ("sat" if want.consistent else "unsat"), seed

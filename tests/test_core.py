@@ -160,6 +160,34 @@ class TestValidation:
         with pytest.raises(ValidationError, match=match):
             make_instance("abstract", events, {"c": INF})
 
+    def test_mate_is_rf_as_an_involution(self):
+        """``mate`` pairs a send with a receive of its channel, both ways, and
+        its pairs are exactly rf, for abstract and trace instances."""
+        rng = random.Random(41)
+        for k in range(500):
+            if k % 2:
+                inst = rand_instance(rng, rng.random() < 0.8, n_max=12, t_max=4)
+            else:
+                n, t, m = rng.randint(0, 16), rng.randint(1, 4), rng.randint(1, 3)
+                try:
+                    _, trace = random_positive(n, t, m, CAP_MENU, k)
+                except ValueError:
+                    continue
+                _, rf = derive_abstract(trace)
+                caps = {e.channel: rng.choice(CAP_MENU) for e in trace}
+                inst = make_instance("trace", trace, caps, rf)
+            x, mate = inst.abstract, inst.mate
+            assert len(mate) == x.n
+            pairs = set()
+            for i, j in enumerate(mate):
+                if j < 0:
+                    continue
+                assert mate[j] == i and x.events[i].channel == x.events[j].channel
+                assert {x.events[i].op, x.events[j].op} == {"snd", "rcv"}
+                if x.events[i].op == "snd":
+                    pairs.add((x.events[i].id, x.events[j].id))
+            assert pairs == set(inst.rf or ())
+
 
 def assert_dense_index(x):
     """events are sorted by thread token; index, thr_of, pos_of and start
@@ -208,29 +236,29 @@ class TestDenseIndex:
             else:
                 n, t, m = 2 * rng.randint(1, 8), rng.randint(2, 4), rng.randint(1, 3)
                 inst, _ = random_positive(n, t, m, CAP_MENU, k)
-            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-            threads = [e.thread for e in x.events]
+            threads = [e.thread for e in inst.events]
             rng.shuffle(threads)
             per_thread: dict[str, deque] = {}
-            for e in x.events:
+            for e in inst.events:
                 per_thread.setdefault(e.thread, deque()).append(e)
-            y = AbstractExecution(events=tuple(per_thread[th].popleft() for th in threads))
-            assert y.events == x.events
-            ox, oy = saturate(x, cap, rf), saturate(y, cap, rf)
+            shuffled = [per_thread[th].popleft() for th in threads]
+            other = make_instance("abstract", shuffled, inst.cap_map, inst.rf)
+            assert other.events == inst.events
+            ox, oy = saturate(inst), saturate(other)
             assert (oy.cyclic, oy.pred_counts) == (ox.cyclic, ox.pred_counts)
-            assert rf_verdicts(y, cap, rf) == rf_verdicts(x, cap, rf)
+            assert rf_verdicts(other) == rf_verdicts(inst)
 
 
-def rf_verdicts(x, cap, rf) -> list:
+def rf_verdicts(inst) -> list:
     """Each rf solver's verdict, or its refusal text; brute force up to 10 events."""
     out = []
     for solve in (solve_vchrf, solve_vchrf_saturated, solve_sync, solve_acyclic):
         try:
-            out.append(solve(x, cap, rf))
+            out.append(solve(inst))
         except AlgorithmRefused as exc:
             out.append(str(exc))
-    if x.n <= 10:
-        out.append(brute_force(x, cap, rf, bound=10))
+    if inst.n <= 10:
+        out.append(brute_force(inst.abstract, inst.cap_map, inst.rf, bound=10))
     return out
 
 
@@ -286,25 +314,25 @@ class TestClassification:
         rng = random.Random(19)
         for _ in range(500):
             inst = rand_instance(rng, True, n_max=12, t_max=4, caps=(0.0, 1.0, 2.0, 3.0, INF))
-            x, rf = inst.abstract, inst.rf
-            matched = {s for s, _ in rf}
-            index = x.index
+            x = inst.abstract
+            matched = {x.index[s] for s, _ in inst.rf}
 
-            def po_le(a: int, b: int) -> bool:
-                return x.thr_of[index[a]] == x.thr_of[index[b]] and index[a] <= index[b]
+            def po_le(i: int, j: int) -> bool:
+                return x.thr_of[i] == x.thr_of[j] and i <= j
 
-            edges = pending_edges(x, rf)
+            edges = pending_edges(inst)  # dense index pairs
             per_channel = Counter()
             for m, u in edges:
-                em, eu = x.events[index[m]], x.events[index[u]]
+                em, eu = x.events[m], x.events[u]
                 assert em.op == eu.op == "snd" and em.channel == eu.channel
                 assert m in matched and u not in matched
                 per_channel[em.channel] += 1
             assert all(k <= len(x.threads) ** 2 for k in per_channel.values())
-            sends = [e for e in x.events if e.op == "snd"]
-            for m in (e for e in sends if e.id in matched):
-                for u in (e for e in sends if e.id not in matched and e.channel == m.channel):
-                    assert any(po_le(m.id, m2) and po_le(u2, u.id) for m2, u2 in edges)
+            sends = [i for i, e in enumerate(x.events) if e.op == "snd"]
+            for m in (i for i in sends if i in matched):
+                ch = x.events[m].channel
+                for u in (i for i in sends if i not in matched and x.events[i].channel == ch):
+                    assert any(po_le(m, m2) and po_le(u2, u) for m2, u2 in edges)
 
     def test_topology_acyclic_pair(self):
         events = [Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "c")]

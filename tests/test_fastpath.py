@@ -11,7 +11,6 @@ from collections import defaultdict
 import pytest
 
 from chanlin import (
-    AbstractExecution,
     AlgorithmRefused,
     Event,
     INF,
@@ -56,7 +55,7 @@ class TestSolveSync:
         rng = random.Random(22)
         for _ in range(120):
             inst = sync_instance(rng)
-            got = solve_sync(inst.abstract, inst.cap_map, inst.rf)
+            got = solve_sync(inst)
             want = brute_force(inst.abstract, inst.cap_map, inst.rf)
             assert got.outcome == want.outcome
             assert got.explored == 0  # not a search
@@ -67,23 +66,23 @@ class TestSolveSync:
         events = [Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "c")]
         inst = make_instance("abstract", events, {"c": 1.0}, [(1, 2)])
         with pytest.raises(AlgorithmRefused):
-            solve_sync(inst.abstract, inst.cap_map, inst.rf)
+            solve_sync(inst)
 
     def test_unmatched_event_inconsistent(self):
         events = [Event(1, "t1", "snd", "c")]
         inst = make_instance("abstract", events, {"c": 0.0}, [])
-        assert not solve_sync(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_sync(inst).consistent
 
     def test_same_thread_pair_inconsistent(self):
         events = [Event(1, "t1", "snd", "c"), Event(2, "t1", "rcv", "c")]
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 2)])
-        assert not solve_sync(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_sync(inst).consistent
 
     def test_triangle_fixture_block_order(self, fixtures):
         # Blocks (1,4), (7,2), (3,5), (6,8) in po order: ties would go by the
         # dense index of each block's send.
         inst = parse_instance((fixtures / "sync_triangle_positive.vchk").read_text())
-        v = solve_sync(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_sync(inst)
         assert_valid_witness(inst, v)
         assert v.witness == (1, 4, 7, 2, 3, 5, 6, 8)
 
@@ -111,7 +110,7 @@ class TestSolveSync:
                     break
                 nodes -= sources
                 edges = {(u, v) for u, v in edges if u not in sources}
-            got = solve_sync(x, inst.cap_map, inst.rf)
+            got = solve_sync(inst)
             assert got.consistent == (not nodes)
             outcomes.add(got.consistent)
             if got.consistent:
@@ -130,7 +129,7 @@ class TestSolveSync:
         events += [rcvs[-1]] + rcvs[:-1]
         rf = [(2 * i + 1, 2 * i + 2) for i in range(n_pairs)]
         inst = make_instance("abstract", events, cap, rf)
-        v = solve_sync(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_sync(inst)
         assert v.outcome == "inconsistent" and v.explored == 0
         assert v.reason == "rendezvous blocks form a program-order cycle"
         assert not brute_force(inst.abstract, inst.cap_map, inst.rf).consistent
@@ -197,7 +196,7 @@ class TestSolveAcyclic:
             if not self._applicable(inst):
                 continue
             checked += 1
-            got = solve_acyclic(inst.abstract, inst.cap_map, inst.rf)
+            got = solve_acyclic(inst)
             want = brute_force(inst.abstract, inst.cap_map, inst.rf)
             assert got.outcome == want.outcome
             if got.consistent:
@@ -211,7 +210,7 @@ class TestSolveAcyclic:
         ]
         inst = make_instance("abstract", events, {"c": INF}, [(1, 2)])
         with pytest.raises(AlgorithmRefused):
-            solve_acyclic(inst.abstract, inst.cap_map, inst.rf)
+            solve_acyclic(inst)
 
     def test_refuses_capacity_two(self):
         events = [
@@ -222,12 +221,12 @@ class TestSolveAcyclic:
         ]
         inst = make_instance("abstract", events, {"c": 2.0}, [(1, 4)])
         with pytest.raises(AlgorithmRefused):
-            solve_acyclic(inst.abstract, inst.cap_map, inst.rf)
+            solve_acyclic(inst)
 
     def test_private_sync_channel_inconsistent(self):
         events = [Event(1, "t1", "snd", "c"), Event(2, "t1", "rcv", "c")]
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 2)])
-        assert not solve_acyclic(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_acyclic(inst).consistent
 
     def test_private_async_channel_replay(self):
         cases = [
@@ -245,7 +244,7 @@ class TestSolveAcyclic:
             events = [Event(i, "t2", op, "c") for i, op in enumerate(ops.split(), 1)]
             events += [Event(8, "t1", "snd", "d"), Event(9, "t2", "rcv", "d")]
             inst = make_instance("abstract", events, {"c": cap, "d": 1.0}, rf + [(8, 9)])
-            got = solve_acyclic(inst.abstract, inst.cap_map, inst.rf)
+            got = solve_acyclic(inst)
             assert got.consistent == consistent, ops
             if consistent:
                 assert_valid_witness(inst, got)
@@ -264,7 +263,7 @@ class TestSolveAcyclic:
         inst = make_instance("abstract", events, {ch: 2.0 for ch in "abcdef"}, rf)
         for solve in (solve_acyclic, encode_2sat):
             with pytest.raises(AlgorithmRefused, match="channel 'a' has capacity 2 >= 2"):
-                solve(inst.abstract, inst.cap_map, inst.rf)
+                solve(inst)
 
     def test_private_channel_linear(self):
         # 2 000 snd/rcv pairs on one private unbounded channel: only
@@ -275,7 +274,7 @@ class TestSolveAcyclic:
             rf.append((i, i + 1))
         inst = make_instance("abstract", events, {"c": INF}, rf)
         t0 = time.perf_counter()
-        got = solve_acyclic(inst.abstract, inst.cap_map, inst.rf)
+        got = solve_acyclic(inst)
         assert time.perf_counter() - t0 < 0.2
         assert got.consistent
         assert_valid_witness(inst, got)
@@ -295,7 +294,7 @@ class TestSolveAcyclic:
                 cases.append(mutate_rf(inst, rng.randrange(10**9), rounds=1)[0])
             for case in cases:
                 x, cap, rf = case.abstract, case.cap_map, case.rf
-                got = solve_acyclic(x, cap, rf)
+                got = solve_acyclic(case)
                 assert got.outcome == brute_force(x, cap, rf, bound=x.n).outcome, case
                 if got.consistent:
                     assert_valid_witness(case, got)
@@ -303,7 +302,7 @@ class TestSolveAcyclic:
             if len(x.threads) == 2:
                 # One variable per unordered cross-thread pair.
                 k = x.start[1]
-                assert encode_2sat(x, cap, rf).nvars == k * (x.n - k)
+                assert encode_2sat(case).nvars == k * (x.n - k)
 
     def test_witness_matches_all_pair_orderings(self):
         # The witness sorts po plus one merged order per two-thread projection.
@@ -322,7 +321,7 @@ class TestSolveAcyclic:
             if not topo.acyclic or all(len(ts) == 1 for ts in topo.users.values()):
                 continue
             checked += 1
-            got = solve_acyclic(x, cap, rf)
+            got = solve_acyclic(inst)
             assert got.consistent
             assert got.witness == _all_orderings_witness(x, cap, rf, topo.users)
 
@@ -369,11 +368,12 @@ def _all_orderings_witness(x, cap, rf, users):
     two-thread projection's model; synchronous rf pairs are glued."""
     edges = [ab for seq in po(x).values() for ab in zip(seq, seq[1:])]
     for ts in sorted({ts for ts in users.values() if len(ts) == 2}):
-        sub = AbstractExecution(events=tuple(e for e in x.events if users[e.channel] == ts))
-        sub_rf = tuple((s, r) for s, r in rf if users[x.events[x.index[s]].channel] == ts)
-        f = encode_2sat(sub, cap, sub_rf)
+        sub_events = [e for e in x.events if users[e.channel] == ts]
+        sub_rf = [(s, r) for s, r in rf if users[x.events[x.index[s]].channel] == ts]
+        sub = make_instance("abstract", sub_events, cap, sub_rf)
+        f = encode_2sat(sub)
         assign = _reference_2sat(f.nvars, f.clauses)
-        ids, k = [e.id for e in sub.events], sub.start[1]
+        ids, k = [e.id for e in sub.events], sub.abstract.start[1]
         for v, (a, b) in enumerate(itertools.product(ids[:k], ids[k:]), 1):
             edges.append((a, b) if assign[v] else (b, a))
     glue = {s: r for s, r in rf if cap[x.events[x.index[s]].channel] == 0}

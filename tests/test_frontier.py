@@ -27,58 +27,58 @@ def _load(fixtures, name):
 class TestSolveVch:
     def test_two_thread_cap1_positive(self, fixtures):
         inst = _load(fixtures, "two_thread_cap1_positive.vchk")
-        v = solve_vch(inst.abstract, inst.cap_map)
+        v = solve_vch(inst)
         assert v.consistent
         assert v.witness == (1, 4, 2, 5, 6, 3)
         assert_valid_witness(inst, v)
 
     def test_three_thread_cap2_positive(self, fixtures):
         inst = _load(fixtures, "three_thread_cap2_positive.vchk")
-        v = solve_vch(inst.abstract, inst.cap_map)
+        v = solve_vch(inst)
         assert v.consistent
         assert_valid_witness(inst, v)
 
     def test_requires_values(self):
         inst = make_instance("abstract", [Event(1, "t", "snd", "c")], {"c": INF})
         with pytest.raises(ValueError, match="value"):
-            solve_vch(inst.abstract, inst.cap_map)
+            solve_vch(inst)
 
     def test_empty_instance_consistent(self):
         inst = make_instance("abstract", [], {"c": 1.0})
-        v = solve_vch(inst.abstract, inst.cap_map)
+        v = solve_vch(inst)
         assert v.consistent and v.witness == ()
 
     def test_sync_send_needs_other_thread(self):
         events = [Event(1, "t1", "snd", "c", "1"), Event(2, "t1", "rcv", "c", "1")]
         inst = make_instance("abstract", events, {"c": 0.0})
-        assert not solve_vch(inst.abstract, inst.cap_map).consistent
+        assert not solve_vch(inst).consistent
 
     def test_value_mismatch_blocks(self):
         events = [Event(1, "t1", "snd", "c", "1"), Event(2, "t2", "rcv", "c", "2")]
         inst = make_instance("abstract", events, {"c": 1.0})
-        assert not solve_vch(inst.abstract, inst.cap_map).consistent
+        assert not solve_vch(inst).consistent
 
     def test_unmatched_sends_allowed(self):
         events = [Event(1, "t1", "snd", "c", "1"), Event(2, "t1", "snd", "c", "2")]
         inst = make_instance("abstract", events, {"c": 2.0})
-        assert solve_vch(inst.abstract, inst.cap_map).consistent
+        assert solve_vch(inst).consistent
 
 
 class TestSolveVchrf:
     def test_negative_fixture(self, fixtures):
         inst = _load(fixtures, "two_thread_cap1_negative_rf.vchk")
-        assert not solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_vchrf(inst).consistent
 
     def test_saturated_rejects_without_search(self, fixtures):
         inst = _load(fixtures, "two_thread_cap1_negative_rf.vchk")
-        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf_saturated(inst)
         assert not v.consistent
         assert v.explored == 0
 
     def test_receive_without_source_inconsistent(self):
         events = [Event(1, "t1", "rcv", "c")]
         inst = make_instance("abstract", events, {"c": INF}, [])
-        v = solve_vchrf(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf(inst)
         assert not v.consistent
         assert "no rf source" in (v.reason or "")
 
@@ -91,7 +91,7 @@ class TestSolveVchrf:
             Event(4, "t1", "rcv", "c"),
         ]
         inst = make_instance("abstract", events, {"c": INF}, [(1, 4), (2, 3)])
-        assert not solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_vchrf(inst).consistent
 
 
 class TestAgainstOracle:
@@ -99,7 +99,7 @@ class TestAgainstOracle:
         rng = random.Random(101)
         for _ in range(150):
             inst = rand_instance(rng, with_rf=False)
-            got = solve_vch(inst.abstract, inst.cap_map)
+            got = solve_vch(inst)
             want = brute_force(inst.abstract, inst.cap_map)
             assert got.outcome == want.outcome
             if got.consistent:
@@ -109,7 +109,7 @@ class TestAgainstOracle:
         rng = random.Random(102)
         for _ in range(150):
             inst = rand_instance(rng, with_rf=True)
-            got = solve_vchrf(inst.abstract, inst.cap_map, inst.rf)
+            got = solve_vchrf(inst)
             want = brute_force(inst.abstract, inst.cap_map, inst.rf)
             assert got.outcome == want.outcome
             if got.consistent:
@@ -133,7 +133,7 @@ class TestAgainstOracle:
                 x, cap, rf = case.abstract, case.cap_map, case.rf
                 want = brute_force(x, cap, rf, bound=x.n)
                 for solve in (solve_vchrf, solve_vchrf_saturated):
-                    got = solve(x, cap, rf)
+                    got = solve(case)
                     assert got.outcome == want.outcome, (solve.__name__, case)
                     if got.consistent:
                         assert_valid_witness(case, got)
@@ -243,11 +243,10 @@ class TestPinnedSearch:
     @pytest.mark.parametrize("name", list(PINNED))
     def test_witness_and_explored(self, name):
         inst = _pinned_instance(name)
-        x, cap, rf = inst.abstract, inst.cap_map, inst.rf
         vch, vchrf, saturated = PINNED[name]
         if vch is not None:
-            v = solve_vch(x, cap)
+            v = solve_vch(inst)
             assert (v.witness, v.explored) == vch
         for solve, want in ((solve_vchrf, vchrf), (solve_vchrf_saturated, saturated)):
-            v = solve(x, cap, rf)
+            v = solve(inst)
             assert (v.witness, v.explored) == want, solve.__name__

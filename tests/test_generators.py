@@ -140,11 +140,11 @@ class TestHamiltonian:
     def test_triangle_with_chord(self):
         g = Graph(3, ((0, 1), (1, 2), (2, 0), (2, 1)))
         inst = from_hamiltonian(g)
-        assert solve_vch(inst.abstract, inst.cap_map).consistent
+        assert solve_vch(inst).consistent
 
     def test_directed_path(self):
         inst = from_hamiltonian(Graph(3, ((0, 1), (1, 2))))
-        assert not solve_vch(inst.abstract, inst.cap_map).consistent
+        assert not solve_vch(inst).consistent
 
     def test_structural_counts(self):
         g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -161,7 +161,7 @@ class TestHamiltonian:
             edges = tuple(e for e in possible if rng.random() < rng.uniform(0.2, 0.9))
             g = Graph(n, edges)
             inst = from_hamiltonian(g)
-            got = solve_vch(inst.abstract, inst.cap_map).consistent
+            got = solve_vch(inst).consistent
             assert got == has_hamiltonian_cycle(g), (n, edges)
 
     def test_self_loop_rejected(self):
@@ -173,7 +173,7 @@ class TestOneInThree:
     def test_single_clause_satisfiable(self):
         f = CnfFormula(3, ((1, 2, 3),))
         inst = from_one_in_three_two_threads(f)
-        assert solve_vch(inst.abstract, inst.cap_map).consistent
+        assert solve_vch(inst).consistent
 
     def test_channel_count(self):
         f = CnfFormula(4, ((1, 2, 3), (2, 3, 4)))
@@ -195,7 +195,7 @@ class TestOneInThree:
             )
             f = CnfFormula(nv, clauses)
             inst = from_one_in_three_two_threads(f)
-            got = solve_vch(inst.abstract, inst.cap_map).consistent
+            got = solve_vch(inst).consistent
             assert got == one_in_three_satisfiable(f), clauses
 
 
@@ -209,7 +209,7 @@ class TestThreeSat:
     def test_satisfiable_mixed_clause(self):
         f = CnfFormula(3, ((1, 2, -3),))
         inst = from_3sat_t3_m5(f)
-        assert solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert solve_vchrf_saturated(inst).consistent
 
     def test_unsatisfiable_all_patterns(self):
         clauses = tuple(
@@ -218,19 +218,19 @@ class TestThreeSat:
         )
         f = CnfFormula(3, clauses)
         inst = from_3sat_t3_m5(f)
-        assert not solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_vchrf_saturated(inst).consistent
 
 
 class TestOrthogonalVectors:
     def test_known_positive(self):
         ov = OvInstance(((0, 1), (1, 0)), ((0, 1), (1, 1)))
         inst = from_orthogonal_vectors(ov)
-        assert solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert solve_vchrf(inst).consistent
 
     def test_single_pair_negative(self):
         ov = OvInstance(((1, 1),), ((1, 1),))
         inst = from_orthogonal_vectors(ov)
-        assert not solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_vchrf(inst).consistent
 
     def test_structure(self):
         ov = OvInstance(((1, 0, 1),), ((0, 1, 1),))
@@ -247,7 +247,7 @@ class TestVscRead:
     def test_single_write_no_reads(self):
         v = VscReadInstance((MemEvent(1, "t1", "w", "x"),), ())
         inst = from_vsc_read(v)
-        assert solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert solve_vchrf(inst).consistent
         # One atomic block: a lock send/receive pair.
         assert inst.n == 2
 
@@ -257,7 +257,7 @@ class TestVscRead:
             ((2, 1),),
         )
         inst = from_vsc_read(v)
-        assert not solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not solve_vchrf(inst).consistent
 
     def test_cross_register_rf_rejected(self):
         v = VscReadInstance(
@@ -276,7 +276,7 @@ class TestVscRead:
                 continue
             done += 1
             inst = from_vsc_read(v)
-            got = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf).consistent
+            got = solve_vchrf_saturated(inst).consistent
             assert got == sc_consistent(v), v
 
 
@@ -327,7 +327,7 @@ class TestRandomPositive:
     def test_consistent_by_construction(self):
         for seed in range(20):
             inst, trace = random_positive(20, 3, 3, [0.0, 1.0, 2.0, INF], seed)
-            assert solve_vchrf(inst.abstract, inst.cap_map, inst.rf).consistent
+            assert solve_vchrf(inst).consistent
             assert len(trace) == 20
 
     def test_round_trips(self):

@@ -102,7 +102,7 @@ def assert_matches_naive(inst) -> bool:
     """``saturate`` agrees with the naive fixpoint on cyclicity and on every
     ordered pair; returns whether the instance is cyclic."""
     x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-    order = saturate(x, cap, rf)
+    order = saturate(inst)
     cyclic, rel = naive_saturation(x, cap, rf)
     assert order.cyclic == cyclic
     if not cyclic:
@@ -170,7 +170,7 @@ class TestAgainstNaiveFixpoint:
         rf = [(1, 6), (2, 3), (4, 7), (5, 8)]
         inst = make_instance("abstract", events, {"c": INF, "d": 0.0}, rf)
         x = inst.abstract
-        order = saturate(x, inst.cap_map, inst.rf)
+        order = saturate(inst)
         assert not order.cyclic
         assert precedes(x, order, 6, 7) and precedes(x, order, 7, 8)
         assert precedes(x, order, 6, 8) and not precedes(x, order, 8, 6)
@@ -182,7 +182,7 @@ class TestAgainstNaiveFixpoint:
         for _ in range(60):
             inst = rand_instance(rng, with_rf=True, n_max=7)
             x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-            order = saturate(x, cap, rf)
+            order = saturate(inst)
             cyclic, rel = naive_saturation(x, cap, rf)
             if cyclic:
                 continue
@@ -208,11 +208,11 @@ class TestRendezvousRule:
             Event(6, "t3", "rcv", "c"),
         ]
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 6), (5, 4)])
-        order = saturate(inst.abstract, inst.cap_map, inst.rf)
+        order = saturate(inst)
         assert not order.cyclic
         assert precedes(inst.abstract, order, 4, 1)
         assert not assert_matches_naive(inst)
-        assert solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert solve_vchrf_saturated(inst).consistent
 
     def test_rule_2_edge_is_copied_from_the_receive(self):
         # Rule 2 gives 2 ≺ 3 (matched before unmatched send), and rule 3 then
@@ -224,9 +224,9 @@ class TestRendezvousRule:
             Event(3, "t3", "snd", "c"),
         ]
         inst = make_instance("abstract", events, {"c": 0.0}, [(2, 1)])
-        assert rf_defect(inst.abstract, inst.cap_map, inst.rf) is not None
+        assert rf_defect(inst) is not None
         x = inst.abstract
-        order = saturate(x, inst.cap_map, inst.rf)
+        order = saturate(inst)
         assert not order.cyclic
         assert precedes(x, order, 2, 3) and precedes(x, order, 1, 3)
         assert not assert_matches_naive(inst)
@@ -243,7 +243,7 @@ class TestDirectEdgeCycles:
 
     def assert_cyclic(self, events, cap, rf):
         inst = make_instance("abstract", events, cap, rf)
-        assert saturate(inst.abstract, inst.cap_map, inst.rf).cyclic
+        assert saturate(inst).cyclic
         assert assert_matches_naive(inst)
         assert not brute_force(inst.abstract, inst.cap_map, inst.rf).consistent
 
@@ -279,7 +279,7 @@ class TestReady:
         ]
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 2)])
         x = inst.abstract
-        order = saturate(x, inst.cap_map, inst.rf)
+        order = saturate(inst)
         assert not order.cyclic
         assert x.threads == ("t1", "t2")
         assert order.pred_counts[x.index[1]] == (0, 0)
@@ -299,6 +299,6 @@ class TestPipelinePruning:
             rf.append((eid, eid + 1))
             eid += 2
         inst = make_instance("abstract", events, cap, rf)
-        v = solve_vchrf_saturated(inst.abstract, inst.cap_map, inst.rf)
+        v = solve_vchrf_saturated(inst)
         assert v.consistent
         assert v.explored == inst.n + 1
