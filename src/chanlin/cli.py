@@ -88,7 +88,7 @@ def _write(path: str, text: str) -> None:
 def _dispatch(inst: Instance, algo: str, saturation: bool) -> tuple[Verdict, str]:
     cap = inst.cap_map
     if algo == "brute":
-        return brute_force(inst.abstract, cap, inst.rf, bound=max(inst.n, 1)), "brute"
+        return brute_force(inst, cap, inst.rf, bound=max(inst.n, 1)), "brute"
     if algo == "frontier" or (algo == "auto" and inst.rf is None):
         return solve_vch(inst), "frontier"
     if inst.rf is None:
@@ -159,7 +159,7 @@ def check(input: str, algo: str, no_saturation: bool, witness: str | None) -> No
     """Decide consistency of an instance file (or well-formedness of a trace)."""
     inst = _load(input)
     if inst.kind == "trace":
-        result = check_well_formed(inst.trace_events, inst.cap_map)
+        result = check_well_formed(inst.trace, inst.cap_map, inst.rf)
         if isinstance(result, Ok):
             _echo("result: ok")
             sys.exit(0)
@@ -175,7 +175,7 @@ def check(input: str, algo: str, no_saturation: bool, witness: str | None) -> No
         _fail(str(exc))
     write_witness = verdict.consistent and witness
     if write_witness:  # before any result line, so that a failure exits 2 alone
-        events, index = inst.abstract.events, inst.abstract.index
+        events, index = inst.events, inst.index
         trace = make_instance("trace", [events[index[e]] for e in verdict.witness], inst.cap_map)
         _write(witness, serialize_instance(trace))
     _echo(f"result: {verdict.outcome}")
@@ -306,11 +306,10 @@ def stats(input: str) -> None:
     """Print structural statistics of an instance."""
     inst = _load(input)
     _echo_shape(inst)
-    x = inst.abstract
-    for ch, c in sorted(classify_channels(x, inst.cap_map).items()):
+    for ch, c in sorted(classify_channels(inst).items()):
         desc = "sync" if c == 0 else "unbounded" if c == INF else f"bounded({format_cap(c)})"
         _echo(f"class_{ch}: {desc}")
-    topo = communication_topology(x)
+    topo = communication_topology(inst)
     _echo(f"topology_acyclic: {'true' if topo.acyclic else 'false'}")
     n_rcv = sum(1 for e in inst.events if e.op == "rcv")
     n_rf = len(inst.rf or ())
@@ -323,7 +322,7 @@ def _echo_shape(inst: Instance) -> None:
     caps = [c for _, c in inst.cap]
     k = format_cap(max(caps)) if caps else "0"
     _echo(f"n: {inst.n}")
-    _echo(f"t: {len(inst.abstract.threads)}")
+    _echo(f"t: {len(inst.threads)}")
     _echo(f"m: {len(inst.cap)}")
     _echo(f"k: {k}")
 

@@ -1,13 +1,16 @@
 """Domain model and instance file format for FIFO-channel consistency checking.
 
-An *instance* bundles a set of send/receive events over named channels with a
-per-channel capacity map, and optionally a reads-from relation pairing sends
-with the receives that observe them.  Instances come in two kinds:
+An :class:`Instance` bundles a set of send/receive events over named channels
+with a per-channel capacity map, and optionally a reads-from relation pairing
+sends with the receives that observe them.  It holds its events in one dense
+layout (threads by token, program order within each) and checks every
+structural rule when it is built.  Instances come in two kinds:
 
 * ``abstract`` — events carry only a per-thread order (program order); the
   solvers decide whether some interleaving (a *concretization*) exists.
-* ``trace`` — events carry a global total order; the trace can be checked for
-  well-formedness directly and abstracted back into an instance.
+* ``trace`` — the instance also keeps a global total order, ``trace``, which
+  :func:`check_well_formed` checks directly (against rf too, when given) and
+  :func:`derive_abstract` abstracts back into an instance.
 
 The text format is line-oriented (see :func:`parse_instance`) and
 byte-deterministic under :func:`serialize_instance`.
@@ -16,11 +19,10 @@ byte-deterministic under :func:`serialize_instance`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import Iterable, Mapping, Sequence
 
 #: Capacity mark for channels that never block ("inf" in the file format).
@@ -28,6 +30,7 @@ INF: float = math.inf
 
 SND = "snd"
 RCV = "rcv"
+_OPS = frozenset((SND, RCV))
 
 RfPairs = tuple[tuple[int, int], ...]
 
@@ -57,61 +60,6 @@ class Event:
 
 
 @dataclass(frozen=True)
-class AbstractExecution:
-    """An event set plus per-thread total orders (program order).
-
-    ``events`` is stored in dense order whatever order it is given in:
-    threads sorted by token, each thread's events in program order (a stable
-    sort by thread token keeps the given per-thread order).  Event ``i`` has
-    dense index ``i``: ``index`` maps an event id to it, and thread
-    ``threads[ti]`` is the slice ``events[start[ti]:start[ti + 1]]``.
-    """
-
-    events: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        per_thread: dict[str, list[Event]] = defaultdict(list)
-        for e in self.events:
-            per_thread[e.thread].append(e)
-        events = tuple(chain.from_iterable(per_thread[th] for th in sorted(per_thread)))
-        if events != self.events:  # keep the given tuple when it is in dense order
-            object.__setattr__(self, "events", events)
-
-    @cached_property
-    def threads(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(e.thread for e in self.events))
-
-    @cached_property
-    def channels(self) -> tuple[str, ...]:
-        return tuple(sorted({e.channel for e in self.events}))
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        """Dense index of every event id."""
-        return {e.id: i for i, e in enumerate(self.events)}
-
-    @cached_property
-    def start(self) -> list[int]:
-        """Dense index of each thread's first event, then ``n``."""
-        tokens = [e.thread for e in self.events]
-        return [bisect_left(tokens, th) for th in self.threads] + [self.n]
-
-    @cached_property
-    def thr_of(self) -> list[int]:
-        """Position in ``threads`` of the event with each dense index."""
-        return [ti for ti, (a, b) in enumerate(pairwise(self.start)) for _ in range(a, b)]
-
-    @cached_property
-    def pos_of(self) -> list[int]:
-        """Program-order position in its thread of the event with each dense index."""
-        return [p for a, b in pairwise(self.start) for p in range(b - a)]
-
-    @property
-    def n(self) -> int:
-        return len(self.events)
-
-
-@dataclass(frozen=True)
 class Topology:
     """The threads that use each channel, and whether the undirected thread
     graph (an edge joins two threads sharing a channel) is acyclic."""
@@ -129,7 +77,7 @@ class Ok:
 class Violation:
     """First well-formedness failure: ``kind`` and 1-based event position."""
 
-    kind: str  # "capacity" | "sync" | "value"
+    kind: str  # "capacity" | "sync" | "value" | "rf"
     position: int
 
 
@@ -166,44 +114,101 @@ class AlgorithmRefused(Exception):
 
 @dataclass(frozen=True)
 class Instance:
-    """A parsed instance file: events, capacities, and optional reads-from.
+    """A history to check, the one input of every solver: events over
+    channels with capacities, and optionally a reads-from relation.
 
-    Events are stored canonically: trace order for ``kind == "trace"``, the
-    dense order of :class:`AbstractExecution` for ``kind == "abstract"``, whose
-    ``abstract`` then shares the ``events`` tuple.  ``cap`` is a
-    sorted tuple of (channel, capacity); ``rf`` is a sorted tuple of
-    (send id, receive id) pairs or ``None`` when the file has no rf lines.
-    The solvers take the instance and read rf through :attr:`mate`, its dense
-    view; ``rf`` serves serialization, statistics and the oracle.
+    ``events`` is held in dense order, whatever order it is given in:
+    threads sorted by token, each thread's events in the given (program)
+    order.  Event ``i`` has dense index ``i``; ``index`` maps an event id to
+    it, thread ``threads[ti]`` is ``events[start[ti]:start[ti + 1]]``, and
+    ``thr_of`` and ``pos_of`` give each event's thread and position in it.
+    ``cap`` holds (channel, capacity) pairs and ``rf`` (send id, receive id)
+    pairs or ``None``; the solvers read rf through :attr:`mate`.  A ``kind
+    trace`` instance keeps its global order of the same events in ``trace``.
+
+    Building one, through :func:`make_instance` or by hand, checks every
+    structural rule and raises :class:`ValidationError` on the first failure:
+    each event has a known op, a nonnegative id of its own and a channel with
+    a capacity line, each capacity is a natural number or ``INF``, and rf
+    passes :attr:`mate`.
     """
 
-    kind: str  # "abstract" | "trace"
     events: tuple[Event, ...]
     cap: tuple[tuple[str, float], ...]
     rf: RfPairs | None
+    trace: tuple[Event, ...] | None = None
+    threads: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    start: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        given = self.events if self.trace is None else self.trace
+        cap = self.cap_map
+        per_thread: dict[str, list[Event]] = defaultdict(list)
+        for e in given:
+            if e.op not in _OPS:
+                raise ValidationError(f"event {e.id}: bad op {e.op!r}")
+            if e.id < 0:
+                raise ValidationError(f"event {e.id}: negative id")
+            if e.channel not in cap:
+                raise ValidationError(f"event {e.id}: channel {e.channel!r} has no capacity line")
+            per_thread[e.thread].append(e)
+        threads = tuple(sorted(per_thread))
+        events = tuple(chain.from_iterable(per_thread[th] for th in threads))
+        if self.events not in (given, events):  # a trace's, in its order or dense
+            raise ValidationError("events are not the trace's events")
+        start = [0, *accumulate(len(per_thread[th]) for th in threads)]
+        self.__dict__.update(events=events, threads=threads, start=start)  # past frozen
+        if len({e.id for e in events}) < len(events):  # index keeps each id's last event
+            dup = next(e.id for i, e in enumerate(events) if self.index[e.id] != i)
+            raise ValidationError(f"duplicate event id {dup}")
+        for ch, c in self.cap:
+            if c != INF and (c != int(c) or c < 0):
+                raise ValidationError(f"channel {ch!r}: bad capacity {c!r}")
+        if self.rf is not None:
+            self.mate  # reading it checks the structural rf rules
+
+    @property
+    def kind(self) -> str:
+        return "abstract" if self.trace is None else "trace"
+
+    @property
+    def n(self) -> int:
+        return len(self.events)
 
     @cached_property
     def cap_map(self) -> dict[str, float]:
         return dict(self.cap)
 
     @cached_property
-    def abstract(self) -> AbstractExecution:
-        return AbstractExecution(events=self.events)
+    def index(self) -> dict[int, int]:
+        """Dense index of every event id."""
+        return {e.id: i for i, e in enumerate(self.events)}
+
+    @cached_property
+    def channels(self) -> tuple[str, ...]:
+        return tuple(sorted({e.channel for e in self.events}))
+
+    @cached_property
+    def thr_of(self) -> list[int]:
+        """Position in ``threads`` of the event with each dense index."""
+        return [ti for ti, (a, b) in enumerate(pairwise(self.start)) for _ in range(a, b)]
+
+    @cached_property
+    def pos_of(self) -> list[int]:
+        """Program-order position in its thread of the event with each dense index."""
+        return [p for a, b in pairwise(self.start) for p in range(b - a)]
 
     @cached_property
     def mate(self) -> list[int]:
-        """The rf partner of the event with each dense index of ``abstract``,
-        or -1 when rf leaves it unmatched (or the instance has no rf).
+        """The rf partner of the event with each dense index, or -1.
 
-        Built in one pass over ``rf`` that checks the structural rules, so a
-        hand-built instance is checked the first time a solver reads it:
-        every pair joins a send and a receive of this instance on one channel
-        whose values, when both are given, agree, and no event is in two
-        pairs.  Raises :class:`ValidationError` naming the first bad pair.
-        """
-        x = self.abstract
-        events, index = x.events, x.index
-        mate = [-1] * x.n
+        Built, at construction when rf is given, in one pass over ``rf`` that
+        checks the structural rules: every pair joins a send and a receive of
+        this instance on one channel, with equal values when both carry one,
+        and no event is in two pairs.  Raises :class:`ValidationError` naming
+        the first bad pair."""
+        events, index = self.events, self.index
+        mate = [-1] * len(events)
         for s, r in self.rf or ():
             i, j = index.get(s), index.get(r)
             if i is None or j is None:
@@ -220,19 +225,9 @@ class Instance:
             mate[i], mate[j] = j, i
         return mate
 
-    @property
-    def trace_events(self) -> tuple[Event, ...]:
-        if self.kind != "trace":
-            raise ValueError("not a trace instance")
-        return self.events
-
-    @property
-    def n(self) -> int:
-        return len(self.events)
-
 
 # ---------------------------------------------------------------------------
-# Instance construction and validation
+# Instance construction and the reads-from precheck
 # ---------------------------------------------------------------------------
 
 
@@ -242,36 +237,14 @@ def make_instance(
     cap: Mapping[str, float],
     rf: Iterable[tuple[int, int]] | None = None,
 ) -> Instance:
-    """Canonicalize and validate an instance, in memory or parsed: the only
-    structural validator; raise :class:`ValidationError` on failure."""
+    """The canonical :class:`Instance` of a history: ``cap`` and ``rf``
+    sorted and, for ``kind trace``, the given order kept as ``trace``.
+    Building it checks it (:class:`ValidationError` on failure)."""
     if kind not in ("abstract", "trace"):
         raise ValidationError(f"unknown kind {kind!r}")
-    x = AbstractExecution(events=tuple(events)) if kind == "abstract" else None
-    inst = Instance(
-        kind=kind,
-        events=tuple(events) if x is None else x.events,
-        cap=tuple(sorted(cap.items())),
-        rf=None if rf is None else tuple(sorted(rf)),
-    )
-    if x is not None:  # set the cached ``abstract``, so that it is built once
-        object.__setattr__(inst, "abstract", x)
-    seen: set[int] = set()
-    for e in inst.events:
-        if e.id in seen:
-            raise ValidationError(f"duplicate event id {e.id}")
-        seen.add(e.id)
-        if e.op not in (SND, RCV):
-            raise ValidationError(f"event {e.id}: bad op {e.op!r}")
-        if e.id < 0:
-            raise ValidationError(f"event {e.id}: negative id")
-        if e.channel not in inst.cap_map:
-            raise ValidationError(f"event {e.id}: channel {e.channel!r} has no capacity line")
-    for ch, c in inst.cap:
-        if c != INF and (c != int(c) or c < 0):
-            raise ValidationError(f"channel {ch!r}: bad capacity {c!r}")
-    if inst.rf is not None:
-        inst.mate  # reading it checks the structural rf rules
-    return inst
+    events = tuple(events)
+    rf = None if rf is None else tuple(sorted(rf))
+    return Instance(events, tuple(sorted(cap.items())), rf, events if kind == "trace" else None)
 
 
 def rf_defect(inst: Instance) -> str | None:
@@ -293,8 +266,7 @@ def rf_defect(inst: Instance) -> str | None:
     receive of its own thread.  Together the two rules reject every
     synchronous channel that only one thread uses.
     """
-    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
-    events, index = x.events, x.index
+    events, index, cap, mate = inst.events, inst.index, inst.cap_map, inst.mate
     for s, r in inst.rf or ():
         es = events[index[s]]
         if cap[es.channel] == 0 and es.thread == events[index[r]].thread:
@@ -422,7 +394,7 @@ def serialize_instance(inst: Instance) -> str:
     lines = ["vchk v1", f"kind {inst.kind}"]
     for ch, c in inst.cap:
         lines.append(f"channel {ch} cap {format_cap(c)}")
-    for e in inst.events:
+    for e in inst.trace or inst.events:
         parts = ["event", str(e.id), e.thread, e.op, e.channel]
         if e.value is not None:
             parts.append(e.value)
@@ -446,7 +418,9 @@ def _values_match(a: Event, b: Event) -> bool:
     return a.value == b.value
 
 
-def check_well_formed(trace: Sequence[Event], cap: Mapping[str, float]) -> Ok | Violation:
+def check_well_formed(
+    trace: Sequence[Event], cap: Mapping[str, float], rf: RfPairs | None = None
+) -> Ok | Violation:
     """Check a trace in one left-to-right pass; first violation wins.
 
     Checks, per event position (1-based):
@@ -456,8 +430,12 @@ def check_well_formed(trace: Sequence[Event], cap: Mapping[str, float]) -> Ok | 
     * sync — a capacity-0 send is immediately followed by a matching-value
       receive on the same channel from a different thread (and symmetrically
       for receives);
-    * value — the i-th receive on a channel observes the i-th send's value.
+    * value — the i-th receive on a channel observes the i-th send's value;
+    * rf — with ``rf`` given, every receive takes its rf source: the front it
+      dequeues on an asynchronous channel, the send right before it on a
+      synchronous one.
     """
+    src = None if rf is None else {r: s for s, r in rf}
     queues: dict[str, deque[Event]] = defaultdict(deque)
     n = len(trace)
     for i, e in enumerate(trace):
@@ -484,6 +462,8 @@ def check_well_formed(trace: Sequence[Event], cap: Mapping[str, float]) -> Ok | 
                     or not _values_match(prv, e)
                 ):
                     return Violation("sync", pos)
+                if src is not None and src.get(e.id) != prv.id:
+                    return Violation("rf", pos)
         else:
             q = queues[e.channel]
             if e.op == SND:
@@ -496,11 +476,14 @@ def check_well_formed(trace: Sequence[Event], cap: Mapping[str, float]) -> Ok | 
                 front = q.popleft()
                 if not _values_match(front, e):
                     return Violation("value", pos)
+                if src is not None and src.get(e.id) != front.id:
+                    return Violation("rf", pos)
     return OK
 
 
-def derive_abstract(trace: Sequence[Event]) -> tuple[AbstractExecution, RfPairs]:
-    """Abstract a well-formed trace: per-thread po plus index-matched rf.
+def derive_abstract(trace: Sequence[Event], cap: Mapping[str, float]) -> Instance:
+    """Abstract a well-formed trace: the ``kind abstract`` instance of its
+    events (per-thread po) with index-matched rf.
 
     The i-th send on each channel is paired with the i-th receive; excess
     sends remain unmatched.
@@ -512,7 +495,7 @@ def derive_abstract(trace: Sequence[Event]) -> tuple[AbstractExecution, RfPairs]
     rf: list[tuple[int, int]] = []
     for ch, ss in sends.items():
         rf.extend(zip(ss, rcvs.get(ch, [])))
-    return AbstractExecution(events=tuple(trace)), tuple(sorted(rf))
+    return make_instance("abstract", trace, cap, rf)
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +503,11 @@ def derive_abstract(trace: Sequence[Event]) -> tuple[AbstractExecution, RfPairs]
 # ---------------------------------------------------------------------------
 
 
-def classify_channels(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, float]:
-    """Effective capacity per channel of ``cap``: 0 if synchronous, ``INF`` if
-    its sends can never fill it, else its capacity (below its send count)."""
-    sends = Counter(e.channel for e in x.events if e.op == SND)
-    return {ch: c if c == 0 or sends[ch] > c else INF for ch, c in cap.items()}
+def classify_channels(inst: Instance) -> dict[str, float]:
+    """Effective capacity per channel of ``inst.cap``: 0 if synchronous, ``INF``
+    if its sends can never fill it, else its capacity (below its send count)."""
+    sends = Counter(e.channel for e in inst.events if e.op == SND)
+    return {ch: c if c == 0 or sends[ch] > c else INF for ch, c in inst.cap}
 
 
 def pending_edges(inst: Instance) -> list[tuple[int, int]]:
@@ -537,7 +520,7 @@ def pending_edges(inst: Instance) -> list[tuple[int, int]]:
     mate = inst.mate
     last: dict[str, dict[str, int]] = defaultdict(dict)  # channel -> thread -> send
     first: dict[str, dict[str, int]] = defaultdict(dict)
-    for i, e in enumerate(inst.abstract.events):  # dense order: po order per thread
+    for i, e in enumerate(inst.events):  # dense order: po order per thread
         if e.op == SND:
             if mate[i] >= 0:
                 last[e.channel][e.thread] = i
@@ -546,7 +529,7 @@ def pending_edges(inst: Instance) -> list[tuple[int, int]]:
     return [(m, u) for ch, us in first.items() for m in last[ch].values() for u in us.values()]
 
 
-def communication_topology(x: AbstractExecution) -> Topology:
+def communication_topology(inst: Instance) -> Topology:
     """Map each channel to its threads and test the thread graph for cycles.
 
     A channel with three or more users joins them in a triangle.  Otherwise
@@ -554,12 +537,12 @@ def communication_topology(x: AbstractExecution) -> Topology:
     pairs finds a cycle.
     """
     seen: dict[str, set[str]] = defaultdict(set)
-    for e in x.events:
+    for e in inst.events:
         seen[e.channel].add(e.thread)
     users = {ch: tuple(sorted(ts)) for ch, ts in seen.items()}
     if any(len(ts) > 2 for ts in users.values()):
         return Topology(users=users, acyclic=False)
-    parent = {t: t for t in x.threads}
+    parent = {t: t for t in inst.threads}
 
     def find(a: str) -> str:
         while parent[a] != a:

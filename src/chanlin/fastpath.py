@@ -21,14 +21,13 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     CONSISTENT,
     INCONSISTENT,
     INF,
     SND,
-    AbstractExecution,
     AlgorithmRefused,
     Instance,
     Verdict,
@@ -66,8 +65,8 @@ def _block_sort(inst: Instance, orderings: Sequence[tuple[int, int]]) -> tuple[i
     or return ``None`` when they are cyclic.  Each synchronous rf pair is one
     block, named by the dense index of its send; the lowest ready block goes
     first, so ties go by the (thread token, po) of a block's first event."""
-    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
-    events, thr_of = x.events, x.thr_of
+    cap, mate = inst.cap_map, inst.mate
+    events, thr_of = inst.events, inst.thr_of
     n = len(events)
     head = list(range(n))  # event -> its block
     tail = [-1] * n  # synchronous send -> its receive
@@ -207,11 +206,11 @@ def solve_2sat(f: TwoSatFormula) -> list[bool] | None:
 # ---------------------------------------------------------------------------
 
 
-def _classify(x: AbstractExecution, cap: Mapping[str, float]) -> dict[str, float]:
+def _classify(inst: Instance) -> dict[str, float]:
     """The effective capacities; refuse the first channel, in sorted order,
     whose effective capacity is neither 0, 1 nor ``INF``."""
-    eff_cap = classify_channels(x, cap)
-    for ch in x.channels:
+    eff_cap = classify_channels(inst)
+    for ch in inst.channels:
         c = eff_cap[ch]
         if c not in (0, 1, INF):
             raise AlgorithmRefused(f"channel {ch!r} has capacity {format_cap(c)} >= 2")
@@ -224,7 +223,7 @@ def encode_2sat(inst: Instance) -> TwoSatFormula:
 
     Same-thread orderings are program-order constants folded into clauses.
     Each unordered cross-thread pair has one variable, numbered from the dense
-    index: with k = ``x.start[1]`` and w = n − k, the variable ``i·w + (j−k) + 1``
+    index: with k = ``inst.start[1]`` and w = n − k, the variable ``i·w + (j−k) + 1``
     says that dense event i of the first thread precedes dense event j of the
     second (i < k ≤ j), and its negation says that j precedes i.  Clauses: rf,
     matched sends before unmatched ones, FIFO between pairs, transitivity along
@@ -253,16 +252,16 @@ def encode_2sat(inst: Instance) -> TwoSatFormula:
     two-thread instance every pair is compared, also on a channel that one
     thread uses alone; :func:`solve_acyclic` builds no such projection.
     """
-    x, mate = inst.abstract, inst.mate
-    if len(x.threads) > 2:
+    mate = inst.mate
+    if len(inst.threads) > 2:
         raise AlgorithmRefused("2SAT encoding requires at most two threads")
-    eff_cap = _classify(x, inst.cap_map)
+    eff_cap = _classify(inst)
 
-    events, index, thr_of, pos_of = x.events, x.index, x.thr_of, x.pos_of
+    events, index, thr_of, pos_of = inst.events, inst.index, inst.thr_of, inst.pos_of
     n = len(events)
     # A single-thread instance has no cross pairs, and every literal below
     # folds to a po constant.
-    k = x.start[1] if len(x.threads) == 2 else n
+    k = inst.start[1] if len(inst.threads) == 2 else n
     w = n - k
 
     def lit(i: int, j: int):
@@ -285,11 +284,11 @@ def encode_2sat(inst: Instance) -> TwoSatFormula:
     for i, ev in enumerate(events):
         if ev.op == SND:
             sends_by_ch[ev.channel].append(i)
-    private = len(x.threads) == 1
+    private = len(inst.threads) == 1
     near = 1 if private else n  # how many later sends or pairs to compare
     for m, u in pending_edges(inst):  # matched sends before unmatched sends
         f.add(lit(m, u))
-    for ch in x.channels:
+    for ch in inst.channels:
         sends = sends_by_ch[ch]  # in dense order, so po-ordered per thread
         table = [(s, mate[s]) for s in sends if mate[s] >= 0]
 
@@ -338,7 +337,7 @@ def _neg(l):
 def solve_acyclic(inst: Instance) -> Verdict:
     """Compositional solver for acyclic communication topologies.
 
-    Groups the channels by their users (``communication_topology(x).users``).
+    Groups the channels by their users (``communication_topology(inst).users``).
     In an acyclic topology no channel has three users, so each group is either
     the channels of one topology edge or the private channels of one thread.
     Each group's projection (its events, program order as the induced
@@ -357,9 +356,9 @@ def solve_acyclic(inst: Instance) -> Verdict:
     transitive closure of all k·w pair orderings of the model, so the sort,
     which takes the lowest ready block, returns the same order.
     """
-    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
-    _classify(x, cap)
-    topo = communication_topology(x)
+    cap, mate = inst.cap_map, inst.mate
+    _classify(inst)
+    topo = communication_topology(inst)
     if not topo.acyclic:
         raise AlgorithmRefused("communication topology is cyclic")
 
@@ -368,7 +367,7 @@ def solve_acyclic(inst: Instance) -> Verdict:
         return Verdict(INCONSISTENT, reason=bad)
 
     users = topo.users
-    events = x.events
+    events = inst.events
     sub_idx: dict[tuple[str, ...], list[int]] = defaultdict(list)
     sub_rf: dict[tuple[str, ...], list[tuple[int, int]]] = defaultdict(list)
     for i, e in enumerate(events):  # mate has put both ends of a pair on one channel
@@ -389,7 +388,7 @@ def solve_acyclic(inst: Instance) -> Verdict:
                 reason += f" on private channels {', '.join(private)}"
             return Verdict(INCONSISTENT, reason=reason)
         if len(ts) == 2:  # variable i·w + (j−k) + 1 orders dense events i < k ≤ j
-            k = sub.abstract.start[1]
+            k = sub.start[1]
             n, w = len(idx), len(idx) - k
             i, j, merged = 0, k, []
             while i < k and j < n:

@@ -93,9 +93,8 @@ def solve_vchrf_saturated(inst: Instance) -> Verdict:
 
 
 def _search(inst: Instance, by_rf: bool, order: SaturatedOrder | None) -> Verdict:
-    x, cap = inst.abstract, inst.cap_map
-    events = x.events
-    t = len(x.threads)
+    cap, events = inst.cap_map, inst.events
+    t = len(inst.threads)
     async_chs = sorted({e.channel for e in events if cap[e.channel] > 0})
     ch_index = {ch: i for i, ch in enumerate(async_chs)}
 
@@ -126,7 +125,7 @@ def _search(inst: Instance, by_rf: bool, order: SaturatedOrder | None) -> Verdic
             )
             for i, e in enumerate(events[a:b], a)
         ]
-        for a, b in pairwise(x.start)
+        for a, b in pairwise(inst.start)
     ]
     lens = tuple(len(s) for s in steps)
 

@@ -696,9 +696,7 @@ def random_positive(
             th = rng.choice(thread_names)
             trace.append(Event(id=len(trace) + 1, thread=th, op=RCV, channel=ch, value=val))
 
-    _, rf = derive_abstract(trace)
-    inst = make_instance("abstract", trace, cap, rf)
-    return inst, tuple(trace)
+    return derive_abstract(trace, cap), tuple(trace)
 
 
 def mutate_rf(
@@ -718,8 +716,7 @@ def mutate_rf(
     rng = random.Random(seed)
     if rounds is None:
         rounds = max(5, math.ceil(0.05 * instance.n))
-    x = instance.abstract
-    events, index = x.events, x.index
+    events, index = instance.events, instance.index
     mate = list(instance.mate)  # receives' entries go stale; only sends' are read
     matched = [s for s, _ in instance.rf]  # kept sorted across rounds
     sends_by_ch: dict[str, list[int]] = defaultdict(list)

@@ -2,8 +2,9 @@
 
 Enumerates program-order-respecting interleavings with incremental
 well-formedness (and reads-from) checking.  Deliberately independent of the
-frontier solver: plain recursion, no state deduplication, so it can serve as
-ground truth in equivalence suites.
+frontier solver: a depth-first search over moves with an explicit stack and
+no state deduplication, so it can serve as ground truth in equivalence suites
+and takes histories of any length without deep recursion.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .core import (
     INF,
     RCV,
     SND,
-    AbstractExecution,
     Event,
+    Instance,
     Verdict,
 )
 
@@ -30,16 +31,19 @@ class BoundExceeded(Exception):
 
 
 def brute_force(
-    x: AbstractExecution,
+    x: Instance,
     cap: Mapping[str, float],
     rf: tuple[tuple[int, int], ...] | None = None,
     bound: int = DEFAULT_BOUND,
 ) -> Verdict:
     """Decide consistency by exhaustive search.
 
-    With ``rf`` given, receives fire only against their mapped send, and a
-    receive named in two pairs is inconsistent; without it, all events must
-    carry values and receives match the front value.
+    Only the events and program order of ``x``, an :class:`Instance`, are read;
+    ``cap`` and ``rf`` are given apart, so the oracle can also judge an rf that
+    building an instance rejects.  With ``rf`` given, receives fire only
+    against their mapped send, and a receive named in two pairs is
+    inconsistent; without it, all events must carry values and receives match
+    the front value.
     Threads are tried in ascending token order, so the returned witness is the
     lexicographically first by thread token.
     """
@@ -59,23 +63,29 @@ def brute_force(
     queues: dict[str, list[Event]] = {e.channel: [] for e in x.events}
     n = x.n
     witness: list[int] = []
-    explored = 0
 
     def matches(snd: Event, rcv: Event) -> bool:
         if rf_of is not None:
             return rf_of.get(rcv.id) == snd.id
         return snd.value == rcv.value
 
-    def step(done: int, pending: Event | None) -> bool:
-        nonlocal explored
-        explored += 1
-        if done == n:
-            return pending is None
-        for ti, seq in enumerate(seqs):
+    # Depth-first over moves.  Each frame records one move: the pending
+    # synchronous send before it, its thread, and the queue it appended to
+    # (front None) or dequeued ``front`` from (None when synchronous).
+    frames: list[tuple[Event | None, int, list[Event] | None, Event | None]] = []
+    pending: Event | None = None
+    ti = 0  # the next thread to try in the current state
+    explored = 1
+    while True:
+        if len(witness) == n and pending is None:
+            return Verdict(CONSISTENT, witness=tuple(witness), explored=explored)
+        for ti in range(ti, len(seqs)):
+            seq = seqs[ti]
             if counts[ti] >= len(seq):
                 continue
             e = seq[counts[ti]]
             c = cap[e.channel]
+            q, front, nxt = None, None, None
             if pending is not None:
                 if (
                     e.op != RCV
@@ -84,47 +94,34 @@ def brute_force(
                     or not matches(pending, e)
                 ):
                     continue
-                counts[ti] += 1
-                witness.append(e.id)
-                if step(done + 1, None):
-                    return True
-                witness.pop()
-                counts[ti] -= 1
             elif c == 0:
                 if e.op != SND:
                     continue
-                counts[ti] += 1
-                witness.append(e.id)
-                if step(done + 1, e):
-                    return True
-                witness.pop()
-                counts[ti] -= 1
+                nxt = e
             elif e.op == SND:
                 q = queues[e.channel]
                 if c != INF and len(q) >= c:
                     continue
                 q.append(e)
-                counts[ti] += 1
-                witness.append(e.id)
-                if step(done + 1, None):
-                    return True
-                witness.pop()
-                counts[ti] -= 1
-                q.pop()
             else:
                 q = queues[e.channel]
                 if not q or not matches(q[0], e):
                     continue
                 front = q.pop(0)
-                counts[ti] += 1
-                witness.append(e.id)
-                if step(done + 1, None):
-                    return True
-                witness.pop()
-                counts[ti] -= 1
+            frames.append((pending, ti, q, front))
+            counts[ti] += 1
+            witness.append(e.id)
+            pending, ti = nxt, 0
+            explored += 1
+            break
+        else:  # no move left here: undo the move that led to this state
+            if not frames:
+                return Verdict(INCONSISTENT, explored=explored)
+            pending, ti, q, front = frames.pop()
+            counts[ti] -= 1
+            witness.pop()
+            if front is not None:
                 q.insert(0, front)
-        return False
-
-    if step(0, None):
-        return Verdict(CONSISTENT, witness=tuple(witness), explored=explored)
-    return Verdict(INCONSISTENT, explored=explored)
+            elif q is not None:
+                q.pop()
+            ti += 1

@@ -31,7 +31,7 @@ A cycle in the saturated order certifies inconsistency; otherwise every
 concretization must respect the order, which licenses aggressive pruning of
 the frontier search.
 
-Representation: events are numbered by their position in the execution's
+Representation: events are numbered by their position in the instance's
 ``events``, which are in dense order (thread token, then po position), and
 for every event ``e`` and thread ``τ`` we keep the minimal program-order
 position in ``τ`` of any known successor of ``e``.  Because the order is
@@ -49,12 +49,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import pairwise
 
-from .core import RCV, SND, AbstractExecution, Instance, classify_channels, pending_edges
+from .core import RCV, SND, Instance, classify_channels, pending_edges
 
 
 @dataclass
 class SaturatedOrder:
-    """Result of :func:`saturate`, over the execution's dense index and the
+    """Result of :func:`saturate`, over the instance's dense index and the
     thread numbering of its ``threads``.
 
     ``cyclic`` signals that some event is ordered before itself.
@@ -100,12 +100,12 @@ def saturate(inst: Instance) -> SaturatedOrder:
     when a derived edge lowers a row it read, so the worst case stays
     O(t·n³), while a token ring (nothing derived) pops each event once.
     """
-    x, cap, mate = inst.abstract, inst.cap_map, inst.mate
-    t = len(x.threads)
-    n = x.n
-    events, thr_of, pos_of, start = x.events, x.thr_of, x.pos_of, x.start
+    cap, mate = inst.cap_map, inst.mate
+    t = len(inst.threads)
+    n = inst.n
+    events, thr_of, pos_of, start = inst.events, inst.thr_of, inst.pos_of, inst.start
 
-    eff_cap = classify_channels(x, cap)
+    eff_cap = classify_channels(inst)
     ch_of = [e.channel for e in events]
     big = n + 1  # sentinel: larger than any po position
     succ: list[list[int]] = [[big] * t for _ in range(n)]
@@ -229,20 +229,20 @@ def saturate(inst: Instance) -> SaturatedOrder:
 
     order = SaturatedOrder(cyclic, succ)
     if not cyclic:
-        order.pred_counts = _pred_counts(x, succ)
+        order.pred_counts = _pred_counts(inst, succ)
     return order
 
 
-def _pred_counts(x: AbstractExecution, succ: list[list[int]]) -> list[tuple[int, ...]]:
+def _pred_counts(inst: Instance, succ: list[list[int]]) -> list[tuple[int, ...]]:
     """For each event, the per-thread count of saturated predecessors.
 
     Along a thread, minimal-successor indices are monotone, so for a target
     thread the set of source-thread events preceding position ``q`` is a
     prefix; a two-pointer sweep per thread pair computes all thresholds.
     """
-    t = len(x.threads)
-    seqs = [range(a, b) for a, b in pairwise(x.start)]
-    counts: list[list[int]] = [[0] * t for _ in range(x.n)]
+    t = len(inst.threads)
+    seqs = [range(a, b) for a, b in pairwise(inst.start)]
+    counts: list[list[int]] = [[0] * t for _ in range(inst.n)]
     for target_ti in range(t):
         tgt = seqs[target_ti]
         for src_ti in range(t):

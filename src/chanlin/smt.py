@@ -60,11 +60,11 @@ class SolverError(Exception):
 
 def emit_smtlib(inst: Instance, with_saturation: bool = False) -> str:
     """Emit SMT-LIB v2 text; see the module docstring for the encoding."""
-    x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-    defect = rf_defect(inst)  # reads mate, so a bad rf pair raises here
-    n = x.n
+    cap, rf = inst.cap_map, inst.rf
+    defect = rf_defect(inst)
+    n = inst.n
     channels = sorted(cap)
-    events, index = x.events, x.index
+    events, index = inst.events, inst.index
     lines: list[str] = ["(set-logic QF_LIA)"]
 
     event_ids = [e.id for e in events]
@@ -82,7 +82,7 @@ def emit_smtlib(inst: Instance, with_saturation: bool = False) -> str:
         lines.append("(assert (distinct " + " ".join(f"x_{e}" for e in event_ids) + "))")
 
     # Program order and reads-from.
-    for a, b in pairwise(x.start):
+    for a, b in pairwise(inst.start):
         for i in range(a, b - 1):
             lines.append(f"(assert (< x_{event_ids[i]} x_{event_ids[i + 1]}))")
     for s, r in rf:
@@ -135,7 +135,7 @@ def emit_smtlib(inst: Instance, with_saturation: bool = False) -> str:
             lines.append("; saturated order contains a cycle")
             lines.append("(assert false)")
         else:
-            start = x.start
+            start = inst.start
             for eid, row in zip(event_ids, order.succ):
                 for a, b, p in zip(start, start[1:], row):  # thread slice, po position
                     if a + p < b:

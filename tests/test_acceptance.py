@@ -74,7 +74,7 @@ class TestCriterion1FigureVerdicts:
         }
         for name, want in traces.items():
             inst = parse_instance((fixtures / name).read_text())
-            got = check_well_formed(inst.trace_events, inst.cap_map)
+            got = check_well_formed(inst.trace, inst.cap_map)
             if want is None:
                 assert isinstance(got, Ok)
             else:
@@ -101,13 +101,13 @@ class TestCriterion2OracleEquivalence:
     def test_thousand_instances(self):
         t0 = time.monotonic()
         for inst in _suite(1000):
-            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-            want = brute_force(x, cap, rf)
+            cap, rf = inst.cap_map, inst.rf
+            want = brute_force(inst, cap, rf)
             if rf is None:
                 got = solve_vch(inst)
             else:
                 got = solve_vchrf(inst)
-                if x.events and all(cap[e.channel] == 0 for e in x.events):
+                if inst.events and all(cap[e.channel] == 0 for e in inst.events):
                     try:
                         assert solve_sync(inst).outcome == want.outcome
                     except AlgorithmRefused:

@@ -5,12 +5,15 @@ from __future__ import annotations
 import contextlib
 import gc
 import io
+import time
 import weakref
 
 import pytest
 from click.testing import CliRunner
 
+from chanlin import CONSISTENT, Verdict, parse_instance
 from chanlin.cli import main
+from .conftest import assert_valid_witness
 
 
 def run(*args):
@@ -53,6 +56,23 @@ class TestCheck:
         assert "violation: value" in r.output
         assert "position: 5" in r.output
 
+    @pytest.mark.parametrize(
+        "rf, lines",
+        [
+            ("rf 1 4\nrf 2 3\n", ["result: violation", "violation: rf", "position: 3"]),
+            ("rf 1 3\nrf 2 4\n", ["result: ok"]),
+            ("rf 1 3\n", ["result: violation", "violation: rf", "position: 4"]),
+        ],
+    )
+    def test_trace_rf_is_checked(self, tmp_path, rf, lines):
+        """FIFO gives receive 3 the message of send 1, so rf must say so."""
+        trace = tmp_path / "t.vchk"
+        events = "event 1 t1 snd c\nevent 2 t1 snd c\nevent 3 t2 rcv c\nevent 4 t2 rcv c\n"
+        trace.write_text("vchk v1\nkind trace\nchannel c cap inf\n" + events + rf)
+        r = run("check", trace)
+        assert r.output.splitlines() == lines
+        assert r.exit_code == (0 if len(lines) == 1 else 1)
+
     def test_consistent_exit_zero(self, fixtures):
         r = run("check", fixtures / "two_thread_cap1_positive.vchk")
         assert r.exit_code == 0
@@ -94,17 +114,30 @@ class TestCheck:
         assert r2.exit_code == 0
         assert "result: ok" in r2.output
 
-    def test_internal_error_exit_two(self, tmp_path):
-        # 1 500 snd/rcv pairs in one thread recurse deeper than brute force can.
-        lines = ["vchk v1", "kind abstract", "channel c cap 1"]
-        for i in range(1, 3001, 2):
-            lines += [f"event {i} t1 snd c", f"event {i + 1} t1 rcv c", f"rf {i} {i + 1}"]
-        inst = tmp_path / "deep.vchk"
-        inst.write_text("\n".join(lines) + "\n")
-        r = run("check", inst, "--algo", "brute")
+    def test_internal_error_exit_two(self, fixtures, monkeypatch):
+        def crash(inst):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("chanlin.cli.solve_vch", crash)
+        r = run("check", fixtures / "two_thread_cap1_positive.vchk")
         assert r.exit_code == 2
-        assert "RecursionError" in r.stderr
+        assert "RecursionError" in r.stderr and "error: internal error" in r.stderr
         assert "result:" not in r.stdout
+
+    def test_brute_takes_a_long_history(self, tmp_path):
+        """The oracle's search keeps its own stack, so a 1 200-event pipeline
+        does not overflow Python's."""
+        lines = ["vchk v1", "kind abstract", "channel c cap inf"]
+        for i in range(1, 1201, 2):
+            lines += [f"event {i} t1 snd c", f"event {i + 1} t2 rcv c", f"rf {i} {i + 1}"]
+        inst, w = tmp_path / "pipe.vchk", tmp_path / "w.vchk"
+        inst.write_text("\n".join(lines) + "\n")
+        t0 = time.monotonic()
+        r = run("check", inst, "--algo", "brute", "--witness", w)
+        assert time.monotonic() - t0 < 20
+        assert r.exit_code == 0 and "algorithm: brute" in r.output
+        witness = tuple(e.id for e in parse_instance(w.read_text()).trace)
+        assert_valid_witness(parse_instance(inst.read_text()), Verdict(CONSISTENT, witness))
 
     def test_unwritable_witness_exit_two(self, fixtures, tmp_path):
         w = tmp_path / "missing" / "w.vchk"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from chanlin import (
     INF,
-    AbstractExecution,
     AlgorithmRefused,
     Event,
     Ok,
@@ -118,7 +117,8 @@ class TestParseSerialize:
             Event(1, "t1", "rcv", "c", "1"),
         ]
         inst = make_instance("trace", events, {"c": INF})
-        assert [e.id for e in inst.events] == [2, 1]
+        assert [e.id for e in inst.trace] == [2, 1]
+        assert [e.id for e in inst.events] == [1, 2]  # dense order
 
 
 class TestValidation:
@@ -173,19 +173,18 @@ class TestValidation:
                     _, trace = random_positive(n, t, m, CAP_MENU, k)
                 except ValueError:
                     continue
-                _, rf = derive_abstract(trace)
                 caps = {e.channel: rng.choice(CAP_MENU) for e in trace}
-                inst = make_instance("trace", trace, caps, rf)
-            x, mate = inst.abstract, inst.mate
-            assert len(mate) == x.n
+                inst = make_instance("trace", trace, caps, derive_abstract(trace, caps).rf)
+            mate = inst.mate
+            assert len(mate) == inst.n
             pairs = set()
             for i, j in enumerate(mate):
                 if j < 0:
                     continue
-                assert mate[j] == i and x.events[i].channel == x.events[j].channel
-                assert {x.events[i].op, x.events[j].op} == {"snd", "rcv"}
-                if x.events[i].op == "snd":
-                    pairs.add((x.events[i].id, x.events[j].id))
+                assert mate[j] == i and inst.events[i].channel == inst.events[j].channel
+                assert {inst.events[i].op, inst.events[j].op} == {"snd", "rcv"}
+                if inst.events[i].op == "snd":
+                    pairs.add((inst.events[i].id, inst.events[j].id))
             assert pairs == set(inst.rf or ())
 
 
@@ -207,19 +206,17 @@ class TestDenseIndex:
         rng = random.Random(31)
         for _ in range(200):
             inst = rand_instance(rng, rng.random() < 0.5, n_max=12, t_max=4)
-            assert_dense_index(inst.abstract)
-            assert inst.abstract.events is inst.events
+            assert_dense_index(inst)
 
     def test_events_out_of_canonical_order(self):
-        x = AbstractExecution(
-            events=(
-                Event(5, "t2", "rcv", "c"),
-                Event(1, "t1", "snd", "c"),
-                Event(9, "t3", "snd", "d"),
-                Event(3, "t2", "snd", "d"),
-                Event(2, "t1", "snd", "c"),
-            )
-        )
+        events = [
+            Event(5, "t2", "rcv", "c"),
+            Event(1, "t1", "snd", "c"),
+            Event(9, "t3", "snd", "d"),
+            Event(3, "t2", "snd", "d"),
+            Event(2, "t1", "snd", "c"),
+        ]
+        x = make_instance("abstract", events, {"c": INF, "d": INF})
         assert_dense_index(x)
         assert [e.id for e in x.events] == [1, 2, 5, 3, 9]
         assert x.start == [0, 2, 4, 5]
@@ -258,7 +255,7 @@ def rf_verdicts(inst) -> list:
         except AlgorithmRefused as exc:
             out.append(str(exc))
     if inst.n <= 10:
-        out.append(brute_force(inst.abstract, inst.cap_map, inst.rf, bound=10))
+        out.append(brute_force(inst, inst.cap_map, inst.rf, bound=10))
     return out
 
 
@@ -272,7 +269,7 @@ class TestWellFormedness:
         }
         for name, want in expected.items():
             inst = parse_instance((fixtures / name).read_text())
-            result = check_well_formed(inst.trace_events, inst.cap_map)
+            result = check_well_formed(inst.trace, inst.cap_map)
             if want is None:
                 assert isinstance(result, Ok), name
             else:
@@ -283,6 +280,17 @@ class TestWellFormedness:
         trace = [Event(1, "t1", "rcv", "c", "1")]
         assert check_well_formed(trace, {"c": 0.0}) == Violation("sync", 1)
 
+    def test_rf_source_of_a_synchronous_receive(self):
+        # A rendezvous receive takes the send right before it.
+        trace = [
+            Event(1, "t1", "snd", "c"),
+            Event(2, "t2", "rcv", "c"),
+            Event(3, "t1", "snd", "c"),
+            Event(4, "t2", "rcv", "c"),
+        ]
+        assert isinstance(check_well_formed(trace, {"c": 0.0}, ((1, 2), (3, 4))), Ok)
+        assert check_well_formed(trace, {"c": 0.0}, ((1, 4), (3, 2))) == Violation("rf", 2)
+
     def test_empty_trace_ok(self):
         assert isinstance(check_well_formed([], {"c": 1.0}), Ok)
 
@@ -292,8 +300,8 @@ class TestWellFormedness:
             Event(2, "t1", "snd", "c", "2"),
             Event(3, "t2", "rcv", "c", "1"),
         ]
-        x, rf = derive_abstract(trace)
-        assert rf == ((1, 3),)
+        x = derive_abstract(trace, {"c": INF})
+        assert x.rf == ((1, 3),)
         assert po(x) == {"t1": (1, 2), "t2": (3,)}
 
 
@@ -306,37 +314,36 @@ class TestClassification:
             Event(4, "t", "snd", "b", "1"),
         ]
         cap = {"a": 0.0, "b": 2.0, "c": 5.0}
-        x = make_instance("abstract", events, cap).abstract
+        x = make_instance("abstract", events, cap)
         # No sends exceed capacity 5, so c is effectively unbounded.
-        assert classify_channels(x, cap) == {"a": 0, "b": 2, "c": INF}
+        assert classify_channels(x) == {"a": 0, "b": 2, "c": INF}
 
     def test_pending_edges_stand_for_every_matched_unmatched_pair(self):
         rng = random.Random(19)
         for _ in range(500):
             inst = rand_instance(rng, True, n_max=12, t_max=4, caps=(0.0, 1.0, 2.0, 3.0, INF))
-            x = inst.abstract
-            matched = {x.index[s] for s, _ in inst.rf}
+            matched = {inst.index[s] for s, _ in inst.rf}
 
             def po_le(i: int, j: int) -> bool:
-                return x.thr_of[i] == x.thr_of[j] and i <= j
+                return inst.thr_of[i] == inst.thr_of[j] and i <= j
 
             edges = pending_edges(inst)  # dense index pairs
             per_channel = Counter()
             for m, u in edges:
-                em, eu = x.events[m], x.events[u]
+                em, eu = inst.events[m], inst.events[u]
                 assert em.op == eu.op == "snd" and em.channel == eu.channel
                 assert m in matched and u not in matched
                 per_channel[em.channel] += 1
-            assert all(k <= len(x.threads) ** 2 for k in per_channel.values())
-            sends = [i for i, e in enumerate(x.events) if e.op == "snd"]
+            assert all(k <= len(inst.threads) ** 2 for k in per_channel.values())
+            sends = [i for i, e in enumerate(inst.events) if e.op == "snd"]
             for m in (i for i in sends if i in matched):
-                ch = x.events[m].channel
-                for u in (i for i in sends if i not in matched and x.events[i].channel == ch):
+                ch = inst.events[m].channel
+                for u in (i for i in sends if i not in matched and inst.events[i].channel == ch):
                     assert any(po_le(m, m2) and po_le(u2, u) for m2, u2 in edges)
 
     def test_topology_acyclic_pair(self):
         events = [Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "c")]
-        topo = communication_topology(make_instance("abstract", events, {"c": INF}).abstract)
+        topo = communication_topology(make_instance("abstract", events, {"c": INF}))
         assert topo.acyclic
         assert topo.users == {"c": ("t1", "t2")}
 
@@ -346,7 +353,7 @@ class TestClassification:
             Event(2, "t2", "rcv", "c"),
             Event(3, "t3", "snd", "c"),
         ]
-        topo = communication_topology(make_instance("abstract", events, {"c": INF}).abstract)
+        topo = communication_topology(make_instance("abstract", events, {"c": INF}))
         assert not topo.acyclic
         assert topo.users == {"c": ("t1", "t2", "t3")}
 
@@ -361,7 +368,7 @@ class TestClassification:
             Event(6, "t1", "rcv", "c"),
         ]
         cap = {"a": INF, "b": INF, "c": INF}
-        topo = communication_topology(make_instance("abstract", events, cap).abstract)
+        topo = communication_topology(make_instance("abstract", events, cap))
         assert not topo.acyclic
         assert topo.users == {"a": ("t1", "t2"), "b": ("t2", "t3"), "c": ("t1", "t3")}
 
@@ -374,12 +381,12 @@ class TestClassification:
             Event(4, "t1", "rcv", "b"),
         ]
         cap = {"a": INF, "b": INF}
-        topo = communication_topology(make_instance("abstract", events, cap).abstract)
+        topo = communication_topology(make_instance("abstract", events, cap))
         assert topo.acyclic
         assert topo.users == {"a": ("t1", "t2"), "b": ("t1", "t2")}
 
     def test_private_channels(self):
         events = [Event(1, "t1", "snd", "c"), Event(2, "t1", "rcv", "c")]
-        topo = communication_topology(make_instance("abstract", events, {"c": INF}).abstract)
+        topo = communication_topology(make_instance("abstract", events, {"c": INF}))
         assert topo.acyclic
         assert topo.users == {"c": ("t1",)}

@@ -56,7 +56,7 @@ class TestSolveSync:
         for _ in range(120):
             inst = sync_instance(rng)
             got = solve_sync(inst)
-            want = brute_force(inst.abstract, inst.cap_map, inst.rf)
+            want = brute_force(inst, inst.cap_map, inst.rf)
             assert got.outcome == want.outcome
             assert got.explored == 0  # not a search
             if got.consistent:
@@ -91,11 +91,10 @@ class TestSolveSync:
         outcomes = set()
         for _ in range(200):
             inst = sync_instance(rng, pairs_max=6)
-            x = inst.abstract
             node_of = {}
             for s, r in inst.rf:
                 node_of[s] = node_of[r] = s
-            pos = {eid: (th, p) for th, seq in po(x).items() for p, eid in enumerate(seq)}
+            pos = {eid: (th, p) for th, seq in po(inst).items() for p, eid in enumerate(seq)}
             edges = set()
             for a in pos:
                 for b in pos:
@@ -132,7 +131,7 @@ class TestSolveSync:
         v = solve_sync(inst)
         assert v.outcome == "inconsistent" and v.explored == 0
         assert v.reason == "rendezvous blocks form a program-order cycle"
-        assert not brute_force(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not brute_force(inst, inst.cap_map, inst.rf).consistent
 
 
 class TestTwoSat:
@@ -181,10 +180,10 @@ class TestSolveAcyclic:
     def _applicable(self, inst):
         from chanlin import classify_channels, communication_topology
 
-        eff_cap = classify_channels(inst.abstract, inst.cap_map)
+        eff_cap = classify_channels(inst)
         if any(c not in (0, 1, INF) for c in eff_cap.values()):
             return False
-        return communication_topology(inst.abstract).acyclic
+        return communication_topology(inst).acyclic
 
     def test_matches_brute_force(self):
         from .conftest import rand_instance
@@ -197,7 +196,7 @@ class TestSolveAcyclic:
                 continue
             checked += 1
             got = solve_acyclic(inst)
-            want = brute_force(inst.abstract, inst.cap_map, inst.rf)
+            want = brute_force(inst, inst.cap_map, inst.rf)
             assert got.outcome == want.outcome
             if got.consistent:
                 assert_valid_witness(inst, got)
@@ -293,16 +292,16 @@ class TestSolveAcyclic:
             if inst.rf:
                 cases.append(mutate_rf(inst, rng.randrange(10**9), rounds=1)[0])
             for case in cases:
-                x, cap, rf = case.abstract, case.cap_map, case.rf
+                cap, rf = case.cap_map, case.rf
                 got = solve_acyclic(case)
-                assert got.outcome == brute_force(x, cap, rf, bound=x.n).outcome, case
+                assert got.outcome == brute_force(case, cap, rf, bound=case.n).outcome, case
                 if got.consistent:
                     assert_valid_witness(case, got)
                 checked += 1
-            if len(x.threads) == 2:
+            if len(case.threads) == 2:
                 # One variable per unordered cross-thread pair.
-                k = x.start[1]
-                assert encode_2sat(case).nvars == k * (x.n - k)
+                k = case.start[1]
+                assert encode_2sat(case).nvars == k * (case.n - k)
 
     def test_witness_matches_all_pair_orderings(self):
         # The witness sorts po plus one merged order per two-thread projection.
@@ -316,14 +315,14 @@ class TestSolveAcyclic:
                 inst, _ = random_positive(n, t, m, (0, 1, INF), rng.randrange(10**9))
             except ValueError:
                 continue
-            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
-            topo = communication_topology(x)
+            cap, rf = inst.cap_map, inst.rf
+            topo = communication_topology(inst)
             if not topo.acyclic or all(len(ts) == 1 for ts in topo.users.values()):
                 continue
             checked += 1
             got = solve_acyclic(inst)
             assert got.consistent
-            assert got.witness == _all_orderings_witness(x, cap, rf, topo.users)
+            assert got.witness == _all_orderings_witness(inst, cap, rf, topo.users)
 
 
 def _reference_2sat(nvars, clauses):
@@ -373,7 +372,7 @@ def _all_orderings_witness(x, cap, rf, users):
         sub = make_instance("abstract", sub_events, cap, sub_rf)
         f = encode_2sat(sub)
         assign = _reference_2sat(f.nvars, f.clauses)
-        ids, k = [e.id for e in sub.events], sub.abstract.start[1]
+        ids, k = [e.id for e in sub.events], sub.start[1]
         for v, (a, b) in enumerate(itertools.product(ids[:k], ids[k:]), 1):
             edges.append((a, b) if assign[v] else (b, a))
     glue = {s: r for s, r in rf if cap[x.events[x.index[s]].channel] == 0}

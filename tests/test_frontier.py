@@ -100,7 +100,7 @@ class TestAgainstOracle:
         for _ in range(150):
             inst = rand_instance(rng, with_rf=False)
             got = solve_vch(inst)
-            want = brute_force(inst.abstract, inst.cap_map)
+            want = brute_force(inst, inst.cap_map)
             assert got.outcome == want.outcome
             if got.consistent:
                 assert_valid_witness(inst, got)
@@ -110,7 +110,7 @@ class TestAgainstOracle:
         for _ in range(150):
             inst = rand_instance(rng, with_rf=True)
             got = solve_vchrf(inst)
-            want = brute_force(inst.abstract, inst.cap_map, inst.rf)
+            want = brute_force(inst, inst.cap_map, inst.rf)
             assert got.outcome == want.outcome
             if got.consistent:
                 assert_valid_witness(inst, got)
@@ -130,8 +130,8 @@ class TestAgainstOracle:
             if inst.rf:
                 cases.append(mutate_rf(inst, rng.randrange(10**9), rounds=1)[0])
             for case in cases:
-                x, cap, rf = case.abstract, case.cap_map, case.rf
-                want = brute_force(x, cap, rf, bound=x.n)
+                cap, rf = case.cap_map, case.rf
+                want = brute_force(case, cap, rf, bound=case.n)
                 for solve in (solve_vchrf, solve_vchrf_saturated):
                     got = solve(case)
                     assert got.outcome == want.outcome, (solve.__name__, case)

@@ -150,7 +150,7 @@ class TestHamiltonian:
         g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
         inst = from_hamiltonian(g)
         assert len(inst.cap) == 2 * g.n_nodes + 3
-        threads = inst.abstract.threads
+        threads = inst.threads
         assert len(threads) == len(g.edges) + g.n_nodes + 2
 
     def test_small_digraphs_match_oracle(self):
@@ -179,7 +179,7 @@ class TestOneInThree:
         f = CnfFormula(4, ((1, 2, 3), (2, 3, 4)))
         inst = from_one_in_three_two_threads(f)
         assert len(inst.cap) == len(f.clauses) + 3
-        assert len(inst.abstract.threads) == 2
+        assert len(inst.threads) == 2
 
     def test_repeated_variable_rejected(self):
         with pytest.raises(ValueError):
@@ -204,7 +204,7 @@ class TestThreeSat:
         f = CnfFormula(2, ((1, -2, 1),))
         inst = from_3sat_t3_m5(f)
         assert sorted(dict(inst.cap)) == ["c1", "c2", "c3", "ch1", "ch2"]
-        assert len(inst.abstract.threads) == 3
+        assert len(inst.threads) == 3
 
     def test_satisfiable_mixed_clause(self):
         f = CnfFormula(3, ((1, 2, -3),))
@@ -236,7 +236,7 @@ class TestOrthogonalVectors:
         ov = OvInstance(((1, 0, 1),), ((0, 1, 1),))
         inst = from_orthogonal_vectors(ov)
         assert len(inst.cap) == 3 + 4
-        assert len(inst.abstract.threads) == 2
+        assert len(inst.threads) == 2
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
@@ -427,7 +427,7 @@ class TestMutateRf:
             rcvs = [r for _, r in mutated.rf]
             assert len(set(snds)) == len(snds)
             assert len(set(rcvs)) == len(rcvs)
-            events, index = mutated.events, mutated.abstract.index
+            events, index = mutated.events, mutated.index
             for s, r in mutated.rf:
                 es, er = events[index[s]], events[index[r]]
                 assert es.channel == er.channel

@@ -1,5 +1,6 @@
-"""The reads-from checks: structural rules in ``Instance.mate`` (input errors),
-solver rules in ``rf_defect`` (inconsistent verdicts), one case per reason."""
+"""Input checks and the reads-from precheck: structural rules, checked when an
+``Instance`` is built (input errors), and solver rules in ``rf_defect``
+(inconsistent verdicts), one case per reason."""
 
 from __future__ import annotations
 
@@ -16,17 +17,13 @@ from chanlin import (
     Instance,
     ValidationError,
     brute_force,
-    emit_smtlib,
-    encode_2sat,
     make_instance,
     rf_defect,
-    saturate,
     solve_acyclic,
     solve_sync,
     solve_vchrf,
     solve_vchrf_saturated,
 )
-from chanlin.core import pending_edges
 from .conftest import rand_instance
 
 RF_SOLVERS = (solve_sync, solve_acyclic, solve_vchrf, solve_vchrf_saturated)
@@ -40,7 +37,7 @@ def test_rejections_are_inconsistent():
         bad = rf_defect(inst)
         if bad is not None:
             reasons.add(re.sub(r"\d+", "N", bad))
-            assert brute_force(inst.abstract, inst.cap_map, inst.rf).outcome == INCONSISTENT, bad
+            assert brute_force(inst, inst.cap_map, inst.rf).outcome == INCONSISTENT, bad
     assert reasons == {
         "receive N has no rf source",
         "send N is unmatched on a synchronous channel",
@@ -48,9 +45,35 @@ def test_rejections_are_inconsistent():
     }
 
 
-# (events, capacities, rf, expected message): input errors that make_instance
-# rejects.  It sorts rf, so the injectivity defect is found at (2,3).
+# (events, capacities, rf, expected message): input errors that building an
+# Instance rejects.  make_instance sorts rf, so the injectivity defect is found
+# at (2,3).
 STRUCTURAL = {
+    "duplicate id": (
+        [Event(1, "t1", "snd", "c"), Event(1, "t2", "rcv", "c")],
+        {"c": INF},
+        None,
+        "duplicate event id 1",
+    ),
+    "bad op": (
+        [Event(1, "t1", "snd", "c"), Event(2, "t2", "recv", "c")],
+        {"c": INF},
+        None,
+        "event 2: bad op 'recv'",
+    ),
+    "negative id": ([Event(-1, "t1", "snd", "c")], {"c": INF}, None, "event -1: negative id"),
+    "no capacity line": (
+        [Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "d")],
+        {"c": INF},
+        None,
+        "event 2: channel 'd' has no capacity line",
+    ),
+    "bad capacity": (
+        [Event(1, "t1", "snd", "c")],
+        {"c": -1.0},
+        None,
+        "channel 'c': bad capacity -1.0",
+    ),
     "missing endpoint": (
         [Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "c")],
         {"c": 0.0},
@@ -101,23 +124,22 @@ SOLVER_RULES = {
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURAL))
-def test_hand_built_instance_is_checked_at_first_solver_call(name):
+def test_hand_built_instance_is_checked_at_construction(name):
     """An ``Instance`` built without make_instance gets the same check, with
-    the same message, the first time anything reads its rf."""
+    the same message, when it is built."""
     events, cap, rf, message = STRUCTURAL[name]
-    inst = Instance("abstract", tuple(events), tuple(sorted(cap.items())), tuple(sorted(rf)))
-    raised = 0
-    for fn in (*RF_SOLVERS, rf_defect, saturate, encode_2sat, emit_smtlib, pending_edges):
-        try:
-            fn(inst)
-        except AlgorithmRefused:
-            continue
-        except ValidationError as exc:
-            assert str(exc) == message, fn.__name__
-            raised += 1
-            continue
-        pytest.fail(f"{fn.__name__} accepted a bad rf pair")
-    assert raised >= 7
+    rf = None if rf is None else tuple(sorted(rf))
+    with pytest.raises(ValidationError) as exc:
+        Instance(tuple(events), tuple(sorted(cap.items())), rf)
+    assert str(exc.value) == message
+
+
+def test_hand_built_trace_holds_the_instance_events():
+    e1, e2 = Event(1, "t1", "snd", "c"), Event(2, "t2", "rcv", "c")
+    cap = (("c", INF),)
+    assert Instance((e2, e1), cap, None, trace=(e2, e1)).kind == "trace"
+    with pytest.raises(ValidationError, match="events are not the trace's events"):
+        Instance((e1, e2), cap, None, trace=(e2,))
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURAL | SOLVER_RULES))

@@ -30,7 +30,7 @@ def precedes(x, order, e, f) -> bool:
 def naive_saturation(x, cap, rf):
     """Reference fixpoint over an explicit pair set; returns (cyclic, pairs)."""
     ids = [e.id for e in x.events]
-    eff_cap = classify_channels(x, cap)
+    eff_cap = classify_channels(x)
     rel: set[tuple[int, int]] = set()
     for a, b in pairwise(x.start):
         for i in range(a, b):
@@ -101,16 +101,16 @@ def naive_saturation(x, cap, rf):
 def assert_matches_naive(inst) -> bool:
     """``saturate`` agrees with the naive fixpoint on cyclicity and on every
     ordered pair; returns whether the instance is cyclic."""
-    x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+    cap, rf = inst.cap_map, inst.rf
     order = saturate(inst)
-    cyclic, rel = naive_saturation(x, cap, rf)
+    cyclic, rel = naive_saturation(inst, cap, rf)
     assert order.cyclic == cyclic
     if not cyclic:
-        ids = [e.id for e in x.events]
+        ids = [e.id for e in inst.events]
         for e in ids:
             for f in ids:
                 if e != f:
-                    assert precedes(x, order, e, f) == ((e, f) in rel), (e, f)
+                    assert precedes(inst, order, e, f) == ((e, f) in rel), (e, f)
     return cyclic
 
 
@@ -169,26 +169,25 @@ class TestAgainstNaiveFixpoint:
         ]
         rf = [(1, 6), (2, 3), (4, 7), (5, 8)]
         inst = make_instance("abstract", events, {"c": INF, "d": 0.0}, rf)
-        x = inst.abstract
         order = saturate(inst)
         assert not order.cyclic
-        assert precedes(x, order, 6, 7) and precedes(x, order, 7, 8)
-        assert precedes(x, order, 6, 8) and not precedes(x, order, 8, 6)
-        assert order.pred_counts[x.index[8]] == (2, 3, 1, 1, 0)
+        assert precedes(inst, order, 6, 7) and precedes(inst, order, 7, 8)
+        assert precedes(inst, order, 6, 8) and not precedes(inst, order, 8, 6)
+        assert order.pred_counts[inst.index[8]] == (2, 3, 1, 1, 0)
         assert not assert_matches_naive(inst)
 
     def test_pred_counts_match_predecessor_sets(self):
         rng = random.Random(8)
         for _ in range(60):
             inst = rand_instance(rng, with_rf=True, n_max=7)
-            x, cap, rf = inst.abstract, inst.cap_map, inst.rf
+            cap, rf = inst.cap_map, inst.rf
             order = saturate(inst)
-            cyclic, rel = naive_saturation(x, cap, rf)
+            cyclic, rel = naive_saturation(inst, cap, rf)
             if cyclic:
                 continue
-            for e, need in zip(x.events, order.pred_counts):
-                for ti, (a, b) in enumerate(pairwise(x.start)):
-                    preds = sum(1 for f in x.events[a:b] if (f.id, e.id) in rel)
+            for e, need in zip(inst.events, order.pred_counts):
+                for ti, (a, b) in enumerate(pairwise(inst.start)):
+                    preds = sum(1 for f in inst.events[a:b] if (f.id, e.id) in rel)
                     assert need[ti] == preds, (e, ti)
 
 
@@ -210,7 +209,7 @@ class TestRendezvousRule:
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 6), (5, 4)])
         order = saturate(inst)
         assert not order.cyclic
-        assert precedes(inst.abstract, order, 4, 1)
+        assert precedes(inst, order, 4, 1)
         assert not assert_matches_naive(inst)
         assert solve_vchrf_saturated(inst).consistent
 
@@ -225,10 +224,9 @@ class TestRendezvousRule:
         ]
         inst = make_instance("abstract", events, {"c": 0.0}, [(2, 1)])
         assert rf_defect(inst) is not None
-        x = inst.abstract
         order = saturate(inst)
         assert not order.cyclic
-        assert precedes(x, order, 2, 3) and precedes(x, order, 1, 3)
+        assert precedes(inst, order, 2, 3) and precedes(inst, order, 1, 3)
         assert not assert_matches_naive(inst)
 
     def test_synchronous_heavy_instances(self):
@@ -245,7 +243,7 @@ class TestDirectEdgeCycles:
         inst = make_instance("abstract", events, cap, rf)
         assert saturate(inst).cyclic
         assert assert_matches_naive(inst)
-        assert not brute_force(inst.abstract, inst.cap_map, inst.rf).consistent
+        assert not brute_force(inst, inst.cap_map, inst.rf).consistent
 
     def test_po_and_rf_cycle_across_two_threads(self):
         # rcv c ≺po snd d ≺rf rcv d ≺po snd c ≺rf rcv c.
@@ -278,12 +276,11 @@ class TestReady:
             Event(2, "t2", "rcv", "c"),
         ]
         inst = make_instance("abstract", events, {"c": 0.0}, [(1, 2)])
-        x = inst.abstract
         order = saturate(inst)
         assert not order.cyclic
-        assert x.threads == ("t1", "t2")
-        assert order.pred_counts[x.index[1]] == (0, 0)
-        assert order.pred_counts[x.index[2]] == (1, 0)
+        assert inst.threads == ("t1", "t2")
+        assert order.pred_counts[inst.index[1]] == (0, 0)
+        assert order.pred_counts[inst.index[2]] == (1, 0)
 
 
 class TestPipelinePruning:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 import stat
+from collections import defaultdict
 
 import pytest
 
@@ -185,8 +186,7 @@ def assignment(inst, order) -> dict[str, int]:
     """Positions from ``order`` (event ids, first to last) and the prefix
     counters they determine."""
     v = {f"x_{eid}": p for p, eid in enumerate(order)}
-    x = inst.abstract
-    trace = [x.events[x.index[eid]] for eid in order]
+    trace = [inst.events[inst.index[eid]] for eid in order]
     for ch in inst.cap_map:
         for op in ("snd", "rcv"):
             count = v[f"y_{ch}_{op}_0"] = 0
@@ -217,9 +217,28 @@ def po_orders(x):
     return walk()
 
 
+def _fifo_swap(inst, rng):
+    """The instance with the rf partners of two messages swapped whose sends
+    share a thread and whose receives share a thread, values dropped; or
+    ``None``.  On one channel it is inconsistent for every capacity: FIFO
+    gives the po-earlier receive the po-earlier send."""
+    thread = {e.id: e.thread for e in inst.events}
+    groups = defaultdict(list)
+    for s, r in inst.rf:
+        groups[thread[s], thread[r]].append((s, r))
+    groups = [g for g in groups.values() if len(g) >= 2]
+    if not groups:
+        return None
+    (s1, r1), (s2, r2) = rng.sample(rng.choice(groups), 2)
+    rf = [p for p in inst.rf if p not in ((s1, r1), (s2, r2))] + [(s1, r2), (s2, r1)]
+    events = [Event(e.id, e.thread, e.op, e.channel) for e in inst.events]
+    return make_instance("abstract", events, inst.cap_map, rf)
+
+
 def _draws(count: int, seed: int, n_max: int):
     """rf instances with synchronous channels in the menus: arbitrary rf, and
-    consistent draws with one-round mutate_rf twins."""
+    consistent draws with one-round mutate_rf twins and, on one channel,
+    FIFO-swap twins."""
     rng = random.Random(seed)
     menus = (CAP_MENU, (0.0,), (0.0, 1.0, INF))
     for k in range(count):
@@ -227,8 +246,6 @@ def _draws(count: int, seed: int, n_max: int):
         if k % 2:
             yield rand_instance(rng, with_rf=True, n_max=n_max, caps=caps)
             continue
-        # One channel in half the draws: mutate_rf twins of those are the
-        # draws that tell the FIFO asserts apart.
         channels = 1 + k % 4 // 2
         try:
             inst, _ = random_positive(rng.randint(2, n_max), rng.randint(2, 3), channels, caps, k)
@@ -237,10 +254,17 @@ def _draws(count: int, seed: int, n_max: int):
         yield inst
         if inst.rf:
             yield mutate_rf(inst, k, rounds=1)[0]
+        # A FIFO-swap twin of a one-channel draw with room for two messages:
+        # without the FIFO asserts, most such twins would read satisfiable.
+        twin_rng = random.Random(k)
+        one, _ = random_positive(twin_rng.randint(4, n_max), 2, 1, (2.0, INF), k)
+        twin = _fifo_swap(one, twin_rng)
+        if twin is not None:
+            yield twin
 
 
 def _rendezvous(inst) -> bool:
-    return any(inst.cap_map[inst.abstract.events[inst.abstract.index[s]].channel] == 0
+    return any(inst.cap_map[inst.events[inst.index[s]].channel] == 0
                for s, _ in inst.rf)
 
 
@@ -276,7 +300,7 @@ class TestSemantics:
             want = solve_vchrf(inst).consistent
             for sat in (False, True):
                 holds = compile_formula(emit_smtlib(inst, with_saturation=sat))
-                got = any(holds(assignment(inst, o)) for o in po_orders(inst.abstract))
+                got = any(holds(assignment(inst, o)) for o in po_orders(inst))
                 assert got == want, (sat, inst)
             seen[want] += 1
             rendezvous += want and _rendezvous(inst)
