@@ -93,9 +93,9 @@ class Verdict:
 
     ``witness`` is a tuple of event ids (a concretization) present iff
     consistent; ``explored`` counts distinct search states generated after
-    the search's reductions (0 for non-search algorithms and early
-    rejections); ``reason`` documents inconsistency verdicts produced by
-    validation short-circuits.
+    the search's reductions, where a rendezvous is one move (0 for non-search
+    algorithms and early rejections); ``reason`` documents inconsistency
+    verdicts produced by validation short-circuits.
     """
 
     outcome: str  # CONSISTENT | INCONSISTENT
@@ -264,7 +264,9 @@ def rf_defect(inst: Instance) -> str | None:
     therefore alternate, and the receive right after each send is the one rf
     pairs with it.  So every synchronous send is matched, and never with a
     receive of its own thread.  Together the two rules reject every
-    synchronous channel that only one thread uses.
+    synchronous channel that only one thread uses, so the private channels
+    that :func:`~chanlin.fastpath.solve_acyclic` replays in program order
+    are asynchronous.
     """
     events, index, cap, mate = inst.events, inst.index, inst.cap_map, inst.mate
     for s, r in inst.rf or ():
@@ -428,8 +430,9 @@ def check_well_formed(
     * capacity — every prefix keeps ``#rcv <= #snd <= #rcv + cap`` per
       asynchronous channel;
     * sync — a capacity-0 send is immediately followed by a matching-value
-      receive on the same channel from a different thread (and symmetrically
-      for receives);
+      receive on the same channel from a different thread, and the pair is
+      checked as one step (a rendezvous), so a capacity-0 receive that no
+      such send consumed is flagged at its own position;
     * value — the i-th receive on a channel observes the i-th send's value;
     * rf — with ``rf`` given, every receive takes its rf source: the front it
       dequeues on an asynchronous channel, the send right before it on a
@@ -438,32 +441,25 @@ def check_well_formed(
     src = None if rf is None else {r: s for s, r in rf}
     queues: dict[str, deque[Event]] = defaultdict(deque)
     n = len(trace)
-    for i, e in enumerate(trace):
-        pos = i + 1
+    pos = 0
+    while pos < n:
+        e = trace[pos]
+        pos += 1  # 1-based position of e
         c = cap[e.channel]
         if c == 0:
-            if e.op == SND:
-                nxt = trace[i + 1] if i + 1 < n else None
-                if (
-                    nxt is None
-                    or nxt.op != RCV
-                    or nxt.channel != e.channel
-                    or nxt.thread == e.thread
-                    or not _values_match(e, nxt)
-                ):
-                    return Violation("sync", pos)
-            else:
-                prv = trace[i - 1] if i > 0 else None
-                if (
-                    prv is None
-                    or prv.op != SND
-                    or prv.channel != e.channel
-                    or prv.thread == e.thread
-                    or not _values_match(prv, e)
-                ):
-                    return Violation("sync", pos)
-                if src is not None and src.get(e.id) != prv.id:
-                    return Violation("rf", pos)
+            r = trace[pos] if pos < n else None
+            if (
+                e.op != SND
+                or r is None
+                or r.op != RCV
+                or r.channel != e.channel
+                or r.thread == e.thread
+                or not _values_match(e, r)
+            ):
+                return Violation("sync", pos)
+            pos += 1  # the receive, consumed with its send
+            if src is not None and src.get(r.id) != e.id:
+                return Violation("rf", pos)
         else:
             q = queues[e.channel]
             if e.op == SND:

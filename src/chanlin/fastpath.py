@@ -5,13 +5,12 @@
   is acyclic on the blocks (the block sort is the witness).
 * :func:`solve_acyclic` — acyclic communication topology with channels that
   are synchronous, capacity-1, or effectively unbounded: the instance is
-  projected onto every pair of communicating threads, and onto each thread
-  with its private channels, and each projection is decided by a 2SAT
+  projected onto every pair of communicating threads, each decided by a 2SAT
   encoding with one variable per unordered cross-thread event pair, numbered
-  from the dense index (in a single-thread projection every literal is a po
-  constant, and only po-consecutive sends and rf pairs are compared).  The
-  witness is the same block sort as :func:`solve_sync`'s, over program order
-  plus each two-thread model read as one merged order of its projection.
+  from the dense index, and each thread's private channels are checked by
+  replaying its events in program order.  The witness is the same block sort
+  as :func:`solve_sync`'s, over program order plus each two-thread model read
+  as one merged order of its projection.
 * :func:`solve_2sat` — implication-graph strongly-connected-components 2SAT
   (Aspvall, Plass & Tarjan 1979).
 """
@@ -31,6 +30,8 @@ from .core import (
     AlgorithmRefused,
     Instance,
     Verdict,
+    Violation,
+    check_well_formed,
     classify_channels,
     communication_topology,
     format_cap,
@@ -218,8 +219,8 @@ def _classify(inst: Instance) -> dict[str, float]:
 
 
 def encode_2sat(inst: Instance) -> TwoSatFormula:
-    """Encode a ≤2-thread instance whose channels are synchronous, capacity-1,
-    or effectively unbounded.
+    """Encode a two-thread instance whose channels are synchronous,
+    capacity-1, or effectively unbounded.
 
     Same-thread orderings are program-order constants folded into clauses.
     Each unordered cross-thread pair has one variable, numbered from the dense
@@ -245,23 +246,17 @@ def encode_2sat(inst: Instance) -> TwoSatFormula:
     literal is ``¬(u'<m')`` and the same steps give ``(u<m) → (u'<m')``.  So
     the models are those of every matched × unmatched pair.
 
-    In a single-thread instance every literal is a po constant, and each rule
-    holds iff it holds between po-consecutive sends (capacity 1),
-    po-consecutive rf pairs (FIFO) or the channel's one pending pair; only
-    those clauses are emitted, so such an instance costs linear time.  In a
-    two-thread instance every pair is compared, also on a channel that one
-    thread uses alone; :func:`solve_acyclic` builds no such projection.
+    Every pair is compared, also on a channel that one thread uses alone;
+    :func:`solve_acyclic` builds no such projection.
     """
     mate = inst.mate
-    if len(inst.threads) > 2:
-        raise AlgorithmRefused("2SAT encoding requires at most two threads")
+    if len(inst.threads) != 2:
+        raise AlgorithmRefused("2SAT encoding requires exactly two threads")
     eff_cap = _classify(inst)
 
     events, index, thr_of, pos_of = inst.events, inst.index, inst.thr_of, inst.pos_of
     n = len(events)
-    # A single-thread instance has no cross pairs, and every literal below
-    # folds to a po constant.
-    k = inst.start[1] if len(inst.threads) == 2 else n
+    k = inst.start[1]
     w = n - k
 
     def lit(i: int, j: int):
@@ -284,8 +279,6 @@ def encode_2sat(inst: Instance) -> TwoSatFormula:
     for i, ev in enumerate(events):
         if ev.op == SND:
             sends_by_ch[ev.channel].append(i)
-    private = len(inst.threads) == 1
-    near = 1 if private else n  # how many later sends or pairs to compare
     for m, u in pending_edges(inst):  # matched sends before unmatched sends
         f.add(lit(m, u))
     for ch in inst.channels:
@@ -294,7 +287,7 @@ def encode_2sat(inst: Instance) -> TwoSatFormula:
 
         # FIFO between pairs.
         for i, (e, e2) in enumerate(table):
-            for g, g2 in table[i + 1 : i + 1 + near]:
+            for g, g2 in table[i + 1 :]:
                 a, b = lit(e, g), lit(e2, g2)
                 f.add(_neg(a), b)
                 f.add(_neg(b), a)
@@ -306,8 +299,7 @@ def encode_2sat(inst: Instance) -> TwoSatFormula:
                 f.add(FALSE, FALSE)
             for i, e in enumerate(sends):
                 if mate[e] >= 0:
-                    later = sends[i + 1 : i + 1 + near]
-                    for e2 in later if private else sends[:i] + later:
+                    for e2 in sends[:i] + sends[i + 1 :]:
                         f.add(_neg(lit(e, e2)), lit(mate[e], e2))
         elif eff_cap[ch] == 0:
             # Nothing fits between a synchronous send and its receive: the
@@ -340,11 +332,13 @@ def solve_acyclic(inst: Instance) -> Verdict:
     Groups the channels by their users (``communication_topology(inst).users``).
     In an acyclic topology no channel has three users, so each group is either
     the channels of one topology edge or the private channels of one thread.
-    Each group's projection (its events, program order as the induced
-    subsequence), built by :func:`~chanlin.core.make_instance`, is decided by
-    one 2SAT encoding; in a single-thread projection every literal folds to a
-    po constant, which checks the FIFO and capacity rules along program order.
-    Consistent iff all projections pass.  A projection's events are in the
+    A thread's private channels pass iff :func:`~chanlin.core.check_well_formed`
+    accepts the thread's events on them in program order, with their rf: one
+    thread has no other order, and :func:`~chanlin.core.rf_defect` has
+    rejected any synchronous channel that one thread uses alone.  An edge's
+    projection (its events, program order as the induced subsequence), built
+    by :func:`~chanlin.core.make_instance`, is decided by one 2SAT encoding.
+    Consistent iff all groups pass.  A projection's events are in the
     instance's dense order, so its dense index k is ``idx[k]`` of the
     instance.
 
@@ -375,31 +369,34 @@ def solve_acyclic(inst: Instance) -> Verdict:
         if e.op == SND and mate[i] >= 0:
             sub_rf[users[e.channel]].append((e.id, events[mate[i]].id))
 
-    # Single-thread projections first, then the topology edges in order.
+    # Private channels first, then the topology edges in order.
     orderings: list[tuple[int, int]] = []
     for ts in sorted(sub_idx, key=lambda ts: (len(ts), ts)):
         idx = sub_idx[ts]
-        sub = make_instance("abstract", [events[i] for i in idx], cap, sub_rf[ts])
+        sub_events = [events[i] for i in idx]
+        if len(ts) == 1:
+            if isinstance(check_well_formed(sub_events, cap, sub_rf[ts]), Violation):
+                private = ", ".join(sorted(ch for ch, g in users.items() if g == ts))
+                reason = f"projection ({ts[0]}) unsatisfiable on private channels {private}"
+                return Verdict(INCONSISTENT, reason=reason)
+            continue
+        sub = make_instance("abstract", sub_events, cap, sub_rf[ts])
         assign = solve_2sat(encode_2sat(sub))
         if assign is None:
-            reason = f"projection ({','.join(ts)}) unsatisfiable"
-            if len(ts) == 1:
-                private = sorted(ch for ch, g in users.items() if g == ts)
-                reason += f" on private channels {', '.join(private)}"
-            return Verdict(INCONSISTENT, reason=reason)
-        if len(ts) == 2:  # variable i·w + (j−k) + 1 orders dense events i < k ≤ j
-            k = sub.start[1]
-            n, w = len(idx), len(idx) - k
-            i, j, merged = 0, k, []
-            while i < k and j < n:
-                if assign[i * w + j - k + 1]:
-                    merged.append(idx[i])
-                    i += 1
-                else:
-                    merged.append(idx[j])
-                    j += 1
-            merged += idx[i:k] + idx[j:]
-            orderings.extend(zip(merged, merged[1:]))
+            return Verdict(INCONSISTENT, reason=f"projection ({','.join(ts)}) unsatisfiable")
+        # Variable i·w + (j−k) + 1 orders dense events i < k ≤ j.
+        k = sub.start[1]
+        n, w = len(idx), len(idx) - k
+        i, j, merged = 0, k, []
+        while i < k and j < n:
+            if assign[i * w + j - k + 1]:
+                merged.append(idx[i])
+                i += 1
+            else:
+                merged.append(idx[j])
+                j += 1
+        merged += idx[i:k] + idx[j:]
+        orderings.extend(zip(merged, merged[1:]))
 
     witness = _block_sort(inst, orderings)
     if witness is None:

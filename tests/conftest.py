@@ -92,6 +92,12 @@ def token_ring(rounds: int, caps: tuple[float, ...], swap: int | None = None) ->
     return make_instance("abstract", events, cap, rf)
 
 
+def rendezvous_count(inst: Instance) -> int:
+    """The number of rf pairs on synchronous channels: each is one search move."""
+    cap = inst.cap_map
+    return sum(cap[inst.events[inst.index[s]].channel] == 0 for s, _ in inst.rf)
+
+
 def po(x) -> dict[str, tuple[int, ...]]:
     """Each thread's event ids in program order: its slice of the dense events."""
     return {
@@ -110,7 +116,7 @@ def assert_valid_witness(inst: Instance, verdict: Verdict) -> None:
         seen[e.thread].append(e.id)
     for th, seq in po(inst).items():
         assert tuple(seen[th]) == seq, f"program order broken in thread {th}"
-    assert isinstance(check_well_formed(trace, inst.cap_map), Ok)
+    assert isinstance(check_well_formed(trace, inst.cap_map, inst.rf), Ok)
     if inst.rf is not None:
         assert derive_abstract(trace, inst.cap_map).rf == inst.rf
 

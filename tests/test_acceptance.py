@@ -46,7 +46,7 @@ from chanlin.generators import (
     mutate_rf,
     random_positive,
 )
-from .conftest import assert_valid_witness, rand_instance, token_ring
+from .conftest import assert_valid_witness, rand_instance, rendezvous_count, token_ring
 from .test_generators import (
     has_hamiltonian_cycle,
     has_orthogonal_pair,
@@ -243,7 +243,7 @@ class TestCriterion5SaturationScaling:
         v = solve_vchrf_saturated(inst)
         elapsed = time.monotonic() - t0
         assert v.consistent
-        assert v.explored == inst.n + 1
+        assert v.explored == inst.n + 1 - rendezvous_count(inst)
         assert elapsed < 10
 
     def test_two_thousand_event_token_ring(self):
@@ -253,7 +253,7 @@ class TestCriterion5SaturationScaling:
         v = solve_vchrf_saturated(inst)
         elapsed = time.monotonic() - t0
         assert v.consistent
-        assert v.explored == inst.n + 1
+        assert v.explored == inst.n + 1 - rendezvous_count(inst)
         assert elapsed < 4
 
     def test_sixteen_thousand_event_token_ring(self):
@@ -265,7 +265,7 @@ class TestCriterion5SaturationScaling:
         v = solve_vchrf_saturated(inst)
         elapsed = time.monotonic() - t0
         assert v.consistent
-        assert v.explored == inst.n + 1
+        assert v.explored == inst.n + 1 - rendezvous_count(inst)
         assert elapsed < 3
 
     def test_pending_tail(self):

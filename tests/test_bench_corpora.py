@@ -38,7 +38,7 @@ WITNESS_SHA256 = {
 
 @pytest.mark.parametrize(
     "workload, explored",
-    [("sat3-search", 210_033), ("ring-saturate", 7_060), ("twothread-2sat", 0)],
+    [("sat3-search", 210_033), ("ring-saturate", 6_180), ("twothread-2sat", 0)],
 )
 def test_seed_1_exit_codes_and_explored_states(workload, explored, tmp_path):
     total = 0

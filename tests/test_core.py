@@ -279,6 +279,17 @@ class TestWellFormedness:
         # A dangling synchronous receive is flagged at its own position.
         trace = [Event(1, "t1", "rcv", "c", "1")]
         assert check_well_formed(trace, {"c": 0.0}) == Violation("sync", 1)
+        # So is one right after a completed rendezvous on its channel: the
+        # rendezvous consumed the receive before it.
+        trace = [
+            Event(1, "t1", "snd", "c", "1"),
+            Event(2, "t2", "rcv", "c", "1"),
+            Event(3, "t3", "rcv", "c", "1"),
+        ]
+        assert check_well_formed(trace, {"c": 0.0}) == Violation("sync", 3)
+        # A trailing synchronous send has no receive to move with.
+        trace = trace[:2] + [Event(4, "t1", "snd", "c", "1")]
+        assert check_well_formed(trace, {"c": 0.0}) == Violation("sync", 3)
 
     def test_rf_source_of_a_synchronous_receive(self):
         # A rendezvous receive takes the send right before it.

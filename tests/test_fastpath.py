@@ -264,9 +264,17 @@ class TestSolveAcyclic:
             with pytest.raises(AlgorithmRefused, match="channel 'a' has capacity 2 >= 2"):
                 solve(inst)
 
+    def test_encode_2sat_refuses_one_thread(self):
+        # A thread's private channels are replayed in program order instead.
+        events = [Event(1, "t1", "snd", "c"), Event(2, "t1", "rcv", "c")]
+        inst = make_instance("abstract", events, {"c": 1.0}, [(1, 2)])
+        with pytest.raises(AlgorithmRefused, match="exactly two threads"):
+            encode_2sat(inst)
+        assert solve_acyclic(inst).consistent
+
     def test_private_channel_linear(self):
-        # 2 000 snd/rcv pairs on one private unbounded channel: only
-        # po-consecutive sends and pairs are compared.
+        # 2 000 snd/rcv pairs on one private unbounded channel, replayed in
+        # program order.
         events, rf = [], []
         for i in range(1, 4001, 2):
             events += [Event(i, "t1", "snd", "c"), Event(i + 1, "t1", "rcv", "c")]

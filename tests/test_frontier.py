@@ -194,48 +194,48 @@ def _pinned_instance(name):
 # fix the depth-first expansion order and the witness the search reads off.
 PINNED = {
     "draw1": (
-        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 113),
-        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 100),
-        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 18),
+        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 95),
+        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 82),
+        ((1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11, 12), 16),
     ),
     "draw2": (
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 17),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 17),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 13),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 7),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 7),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 7),
     ),
     "draw3": (
-        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 13, 10, 11, 12, 14), 36),
-        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 10, 13, 11, 12, 14), 30),
-        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 10, 13, 11, 12, 14), 17),
+        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 13, 10, 11, 12, 14), 27),
+        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 10, 13, 11, 12, 14), 22),
+        ((3, 4, 1, 2, 5, 6, 7, 8, 9, 10, 13, 11, 12, 14), 14),
     ),
     "draw4": (
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 18),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 10),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 10),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 10),
     ),
     "draw5": (
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 21),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 17),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 9),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 9),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), 9),
     ),
     "draw6": (
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 26),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 26),
-        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 15),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 8),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 8),
+        ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 8),
     ),
-    "draw1-twin": (None, (None, 252), (None, 0)),
-    "draw6-twin": (None, (None, 20), (None, 0)),
+    "draw1-twin": (None, (None, 198), (None, 0)),
+    "draw6-twin": (None, (None, 5), (None, 0)),
     "rendezvous": (
-        ((1, 4, 2, 6, 5, 3, 7), 11),
-        ((1, 6, 2, 4, 5, 3, 7), 10),
+        ((1, 4, 2, 6, 5, 3, 7), 9),
         ((1, 6, 2, 4, 5, 3, 7), 8),
+        ((1, 6, 2, 4, 5, 3, 7), 6),
     ),
     "fan_in": (
-        ((1, 6, 2, 8, 3, 10, 7, 4, 9, 5), 18),
-        ((1, 10, 2, 8, 3, 6, 7, 4, 9, 5), 13),
-        ((1, 10, 2, 8, 3, 6, 7, 4, 9, 5), 11),
+        ((1, 6, 2, 8, 3, 10, 7, 4, 9, 5), 10),
+        ((1, 10, 2, 8, 3, 6, 7, 4, 9, 5), 6),
+        ((1, 10, 2, 8, 3, 6, 7, 4, 9, 5), 6),
     ),
-    "extra_send": ((None, 19), (None, 0), (None, 0)),
+    "extra_send": ((None, 7), (None, 0), (None, 0)),
 }
 
 
