@@ -322,6 +322,8 @@ def parse_instance(text: str) -> Instance:
         if directive == "kind":
             if len(tokens) != 2 or tokens[1] not in ("abstract", "trace"):
                 raise ParseError(f"line {ln}: bad kind directive")
+            if kind is not None:
+                raise ParseError(f"line {ln}: duplicate kind directive")
             kind = tokens[1]
         elif directive == "channel":
             if len(tokens) != 4 or tokens[2] != "cap":

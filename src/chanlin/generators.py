@@ -13,6 +13,14 @@ oracles of the source problem:
 * :func:`from_vsc_read` — sequential-consistency-with-fixed-reads → VCh-rf
   over capacity-1 channels.
 
+Every reduction writes its threads through one private builder.  A send may
+name its message with a tag; a receive names the message it takes by its
+channel and tag, and the builder turns the tags into rf pairs once every
+event exists, so a receive may be written before its send.  A tag names one
+send on its channel.  Event ids follow the order in which events are
+written.  A receive whose tag no send on its channel declared raises
+:class:`ValueError`, because it is a bug in the reduction.
+
 :func:`random_positive` builds consistent-by-construction instances by
 simulating a random well-formed trace; :func:`mutate_rf` perturbs a reads-from
 relation to produce likely-inconsistent variants.
@@ -108,47 +116,62 @@ class VscReadInstance:
     rf: tuple[tuple[int, int], ...]  # (write id, read id)
 
 
+def _lines(text: str):
+    """Each non-blank line's number and tokens, with ``#`` comments cut."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield ln, tokens
+
+
+def _int(token: str, ln: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {ln}: expected an integer, got {token!r}") from None
+
+
 def parse_digraph(text: str) -> Graph:
     """Parse ``digraph <n>`` followed by ``<u> <v>`` edge lines."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for ln, tokens in _lines(text):
         if n is None:
             if len(tokens) != 2 or tokens[0] != "digraph":
                 raise ValueError(f"line {ln}: expected 'digraph <n>'")
-            n = int(tokens[1])
+            n = _int(tokens[1], ln)
         else:
             if len(tokens) != 2:
                 raise ValueError(f"line {ln}: expected '<u> <v>'")
-            edges.append((int(tokens[0]), int(tokens[1])))
+            edges.append((_int(tokens[0], ln), _int(tokens[1], ln)))
     if n is None:
         raise ValueError("empty digraph input")
     return Graph(n_nodes=n, edges=tuple(edges))
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF (``p cnf <vars> <clauses>``, 0-terminated clauses)."""
+    """Parse DIMACS CNF (``p cnf <vars> <clauses>``, 0-terminated clauses).
+
+    A ``%`` line ends the input, as in the SATLIB files that close with
+    ``%`` and ``0``.
+    """
     n_vars: int | None = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for ln, tokens in _lines(text):
+        if tokens[0] == "%":
+            break
+        if tokens[0].startswith("c"):
             continue
-        if line.startswith("p"):
-            tokens = line.split()
+        if tokens[0].startswith("p"):
             if len(tokens) != 4 or tokens[1] != "cnf":
                 raise ValueError(f"line {ln}: bad problem line")
-            n_vars = int(tokens[2])
+            n_vars = _int(tokens[2], ln)
             continue
         if n_vars is None:
             raise ValueError(f"line {ln}: clause before problem line")
-        for tok in line.split():
-            lit = int(tok)
+        for tok in tokens:
+            lit = _int(tok, ln)
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -163,25 +186,20 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 def parse_ov(text: str) -> OvInstance:
     """Parse ``ov <n> <d>`` followed by 2n bit rows (first n = A, rest = B)."""
-    lines = [
-        l.split("#", 1)[0].strip()
-        for l in text.splitlines()
-    ]
-    lines = [l for l in lines if l]
+    lines = list(_lines(text))
     if not lines:
         raise ValueError("empty ov input")
-    tokens = lines[0].split()
+    ln, tokens = lines[0]
     if len(tokens) != 3 or tokens[0] != "ov":
-        raise ValueError("expected 'ov <n> <d>' header")
-    n, d = int(tokens[1]), int(tokens[2])
-    rows = lines[1:]
-    if len(rows) != 2 * n:
-        raise ValueError(f"expected {2 * n} vector rows, got {len(rows)}")
+        raise ValueError(f"line {ln}: expected 'ov <n> <d>' header")
+    n, d = _int(tokens[1], ln), _int(tokens[2], ln)
+    if len(lines) != 2 * n + 1:
+        raise ValueError(f"expected {2 * n} vector rows, got {len(lines) - 1}")
     vecs: list[tuple[int, ...]] = []
-    for row in rows:
-        bits = row.replace(" ", "")
+    for ln, tokens in lines[1:]:
+        bits = "".join(tokens)
         if len(bits) != d or any(ch not in "01" for ch in bits):
-            raise ValueError(f"bad vector row {row!r}")
+            raise ValueError(f"line {ln}: bad vector row {bits!r}")
         vecs.append(tuple(int(ch) for ch in bits))
     return OvInstance(a=tuple(vecs[:n]), b=tuple(vecs[n:]))
 
@@ -190,21 +208,15 @@ def parse_vsc_read(text: str) -> VscReadInstance:
     """Parse ``event <id> <thread> r|w <register>`` and ``rf <write> <read>``."""
     events: list[MemEvent] = []
     rf: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for ln, tokens in _lines(text):
         if tokens[0] == "event":
             if len(tokens) != 5 or tokens[3] not in ("r", "w"):
                 raise ValueError(f"line {ln}: bad event line")
-            events.append(
-                MemEvent(id=int(tokens[1]), thread=tokens[2], op=tokens[3], register=tokens[4])
-            )
+            events.append(MemEvent(_int(tokens[1], ln), tokens[2], tokens[3], tokens[4]))
         elif tokens[0] == "rf":
             if len(tokens) != 3:
                 raise ValueError(f"line {ln}: bad rf line")
-            rf.append((int(tokens[1]), int(tokens[2])))
+            rf.append((_int(tokens[1], ln), _int(tokens[2], ln)))
         else:
             raise ValueError(f"line {ln}: unknown directive {tokens[0]!r}")
     return VscReadInstance(events=tuple(events), rf=tuple(rf))
@@ -217,16 +229,32 @@ def parse_vsc_read(text: str) -> VscReadInstance:
 
 @dataclass
 class _Builder:
-    """Allocates event ids and accumulates per-thread sequences."""
+    """Events with ids 1, 2, ... in the order written; rf wired by tag."""
 
     events: list[Event] = field(default_factory=list)
-    next_id: int = 1
+    sends: dict[tuple[str, object], int] = field(default_factory=dict)
+    takes: list[tuple[str, object, int]] = field(default_factory=list)
 
-    def add(self, thread: str, op: str, channel: str, value: str | None = None) -> int:
-        eid = self.next_id
-        self.next_id += 1
-        self.events.append(Event(id=eid, thread=thread, op=op, channel=channel, value=value))
-        return eid
+    def snd(self, thread: str, channel: str, tag: object = None, value: str | None = None) -> None:
+        eid = len(self.events) + 1
+        self.events.append(Event(eid, thread, SND, channel, value))
+        if tag is not None:
+            self.sends[channel, tag] = eid
+
+    def rcv(self, thread: str, channel: str, tag: object = None, value: str | None = None) -> None:
+        eid = len(self.events) + 1
+        self.events.append(Event(eid, thread, RCV, channel, value))
+        if tag is not None:
+            self.takes.append((channel, tag, eid))
+
+    def instance(self, cap: dict[str, float], rf: bool = True) -> Instance:
+        """The ``kind abstract`` instance; without ``rf`` its rf is ``None``."""
+        try:
+            pairs = [(self.sends[channel, tag], r) for channel, tag, r in self.takes]
+        except KeyError as exc:
+            channel, tag = exc.args[0]
+            raise ValueError(f"a receive on {channel} takes undeclared tag {tag!r}") from None
+        return make_instance("abstract", self.events, cap, pairs if rf else None)
 
 
 # ---------------------------------------------------------------------------
@@ -250,53 +278,51 @@ def from_hamiltonian(g: Graph) -> Instance:
         out_edges[u].append(v)
         in_deg[v] += 1
     nodes = range(g.n_nodes)
+    b = _Builder()
+    m = "m"  # the single shared value
     if g.n_nodes < 2 or any(not out_edges[v] or in_deg[v] == 0 for v in nodes):
-        events = [
-            Event(id=1, thread="t0", op=RCV, channel="ch", value="m"),
-            Event(id=2, thread="t0", op=SND, channel="ch", value="m"),
-        ]
-        return make_instance("abstract", events, {"ch": INF})
+        b.rcv("t0", "ch", value=m)
+        b.snd("t0", "ch", value=m)
+        return b.instance({"ch": INF}, rf=False)
 
     cap: dict[str, float] = {"cnt": float(len(edges)), "lock": 1.0, "alpha": float(g.n_nodes)}
     for v in nodes:
         cap[f"ch{v}"] = float(len(out_edges[v]) + in_deg[v])
         cap[f"chp{v}"] = float(in_deg[v])
 
-    b = _Builder()
-    m = "m"  # the single shared value
     for v in nodes:
         th = f"n{v}"
-        b.add(th, RCV, "alpha", m)
+        b.rcv(th, "alpha", value=m)
         for w in out_edges[v]:
-            b.add(th, SND, f"ch{v}", m)
-            b.add(th, SND, f"chp{w}", m)
-            b.add(th, SND, "cnt", m)
+            b.snd(th, f"ch{v}", value=m)
+            b.snd(th, f"chp{w}", value=m)
+            b.snd(th, "cnt", value=m)
     for u in nodes:
         for v in out_edges[u]:
             th = f"e{u}_{v}"
-            b.add(th, SND, "lock", m)
-            b.add(th, RCV, f"ch{u}", m)
-            b.add(th, RCV, "cnt", m)
-            b.add(th, RCV, f"chp{v}", m)
-            b.add(th, SND, f"ch{v}", m)
-            b.add(th, RCV, "lock", m)
-    b.add("init", SND, "lock", m)
+            b.snd(th, "lock", value=m)
+            b.rcv(th, f"ch{u}", value=m)
+            b.rcv(th, "cnt", value=m)
+            b.rcv(th, f"chp{v}", value=m)
+            b.snd(th, f"ch{v}", value=m)
+            b.rcv(th, "lock", value=m)
+    b.snd("init", "lock", value=m)
     for _ in nodes:
-        b.add("init", SND, "cnt", m)
-    b.add("init", SND, "ch0", m)  # node 0 is the designated cycle start
+        b.snd("init", "cnt", value=m)
+    b.snd("init", "ch0", value=m)  # node 0 is the designated cycle start
     for v in nodes:
-        b.add("init", SND, f"chp{v}", m)
-    b.add("init", RCV, "lock", m)
-    b.add("free", SND, "lock", m)
+        b.snd("init", f"chp{v}", value=m)
+    b.rcv("init", "lock", value=m)
+    b.snd("free", "lock", value=m)
     for _ in edges:
-        b.add("free", SND, "cnt", m)
-    b.add("free", RCV, "ch0", m)
+        b.snd("free", "cnt", value=m)
+    b.rcv("free", "ch0", value=m)
     for _ in edges:
-        b.add("free", RCV, "cnt", m)
-    b.add("free", RCV, "lock", m)
+        b.rcv("free", "cnt", value=m)
+    b.rcv("free", "lock", value=m)
     for _ in nodes:
-        b.add("free", SND, "alpha", m)
-    return make_instance("abstract", b.events, cap)
+        b.snd("free", "alpha", value=m)
+    return b.instance(cap, rf=False)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +337,7 @@ def from_one_in_three_two_threads(f: CnfFormula) -> Instance:
     variable the two sides race through twin-channel atomicity gadgets so
     exactly one side deposits its clause tokens first; per clause the token
     channel must then serve exactly one true token before the false ones.
+    The sides mirror each other: each takes the twin locks in its own order.
     """
     for cl in f.clauses:
         if len(cl) != 3 or any(l <= 0 for l in cl) or len(set(cl)) != 3:
@@ -326,53 +353,28 @@ def from_one_in_three_two_threads(f: CnfFormula) -> Instance:
         cap[f"c{j}"] = INF
 
     b = _Builder()
-    for i in range(1, f.n_vars + 1):
-        v = lambda p: f"vi_{i}_{p}"
-        b.add("tT", SND, "alpha", v(3))
-        b.add("tT", RCV, "alpha", v(4))
-        b.add("tT", SND, "l1", v(1))
-        b.add("tT", SND, "l2", v(1))
-        b.add("tT", RCV, "l2", v(1))
-        for j in occ[i]:
-            b.add("tT", SND, f"c{j}", "T")
-        b.add("tT", RCV, "l1", v(1))
-    for j in range(1, nc + 1):
-        w = lambda p: f"wj_{j}_{p}"
-        b.add("tT", SND, "alpha", w(4))
-        b.add("tT", RCV, "alpha", w(5))
-        b.add("tT", SND, "l1", w(1))
-        b.add("tT", SND, "l2", w(1))
-        b.add("tT", RCV, "l2", w(1))
-        b.add("tT", RCV, f"c{j}", "T")
-        b.add("tT", RCV, f"c{j}", "F")
-        b.add("tT", RCV, "l1", w(1))
-    for i in range(1, f.n_vars + 1):
-        v = lambda p: f"vi_{i}_{p}"
-        b.add("tF", SND, "alpha", v(4))
-        b.add("tF", RCV, "alpha", v(3))
-        b.add("tF", SND, "l2", v(2))
-        b.add("tF", SND, "l1", v(2))
-        b.add("tF", RCV, "l1", v(2))
-        for j in occ[i]:
-            b.add("tF", SND, f"c{j}", "F")
-        b.add("tF", RCV, "l2", v(2))
-    for j in range(1, nc + 1):
-        w = lambda p: f"wj_{j}_{p}"
-        b.add("tF", SND, "alpha", w(5))
-        b.add("tF", RCV, "alpha", w(4))
-        b.add("tF", SND, "l2", w(2))
-        b.add("tF", SND, "l1", w(2))
-        b.add("tF", RCV, "l1", w(2))
-        b.add("tF", RCV, f"c{j}", "F")
-        b.add("tF", RCV, f"c{j}", "T")
-        b.add("tF", RCV, "l2", w(2))
-        b.add("tF", SND, "l2", w(3))
-        b.add("tF", SND, "l1", w(3))
-        b.add("tF", RCV, "l1", w(3))
-        b.add("tF", RCV, f"c{j}", "F")
-        b.add("tF", RCV, f"c{j}", "T")
-        b.add("tF", RCV, "l2", w(3))
-    return make_instance("abstract", b.events, cap)
+    sides = (("tT", "T", "F", "l1", "l2", (1,)), ("tF", "F", "T", "l2", "l1", (2, 3)))
+    for s, (th, mine, other, la, lb, checks) in enumerate(sides):
+
+        def locked(val: str, body: list) -> None:
+            """Hold ``la``, then ``lb``, around the ``(put, channel, value)`` body."""
+            b.snd(th, la, value=val)
+            b.snd(th, lb, value=val)
+            b.rcv(th, lb, value=val)
+            for put, ch, x in body:
+                put(th, ch, value=x)
+            b.rcv(th, la, value=val)
+
+        for i in range(1, f.n_vars + 1):
+            b.snd(th, "alpha", value=f"vi_{i}_{3 + s}")
+            b.rcv(th, "alpha", value=f"vi_{i}_{4 - s}")
+            locked(f"vi_{i}_{1 + s}", [(b.snd, f"c{j}", mine) for j in occ[i]])
+        for j in range(1, nc + 1):
+            b.snd(th, "alpha", value=f"wj_{j}_{4 + s}")
+            b.rcv(th, "alpha", value=f"wj_{j}_{5 - s}")
+            for k in checks:
+                locked(f"wj_{j}_{k}", [(b.rcv, f"c{j}", mine), (b.rcv, f"c{j}", other)])
+    return b.instance(cap, rf=False)
 
 
 # ---------------------------------------------------------------------------
@@ -386,72 +388,42 @@ def from_3sat_t3_m5(f: CnfFormula) -> Instance:
     Thread 1 carries the "false" side of every variable, thread 2 the "true"
     side; two relay channels chain per-variable blocks across one phase per
     clause, and three clause channels with crossed (for negated literals)
-    reads-from pairs force a satisfying choice in each phase.
+    reads-from pairs force a satisfying choice in each phase.  The two sides
+    mirror each other with the relay channels swapped.
     """
     for cl in f.clauses:
         if len(cl) != 3:
             raise ValueError(f"clause {cl} does not have three literals")
-    nc = len(f.clauses)
-    nv = f.n_vars
     cap: dict[str, float] = {"ch1": INF, "ch2": INF, "c1": INF, "c2": INF, "c3": INF}
-
-    # Sends of relay channels, per (phase, variable): phase 0 is the prelude.
-    s_ch1_f: dict[tuple[int, int], int] = {}
-    s_ch2_f: dict[tuple[int, int], int] = {}
-    s_ch1_t: dict[tuple[int, int], int] = {}
-    s_ch2_t: dict[tuple[int, int], int] = {}
-    # Clause-token sends per (phase, slot): slots 1..3 after sorting literals.
-    s_cl_f: dict[tuple[int, int], int] = {}
-    s_cl_t: dict[tuple[int, int], int] = {}
-    # Clause receives wired after all sends exist: (phase, slot, rcv, want_true).
-    clause_rcvs: list[tuple[int, int, int, bool]] = []
-    rf: list[tuple[int, int]] = []
-
-    sorted_clauses = [
-        tuple(sorted(cl, key=abs)) for cl in f.clauses
-    ]
-
+    sorted_clauses = [tuple(sorted(cl, key=abs)) for cl in f.clauses]
     b = _Builder()
-    # Thread 1: false side.
-    for p in range(1, nv + 1):
-        s_ch1_f[0, p] = b.add("t1", SND, "ch1")
-        s_ch2_f[0, p] = b.add("t1", SND, "ch2")
-    for j, cl in enumerate(sorted_clauses, start=1):
-        for p in range(1, nv + 1):
-            s_ch1_f[j, p] = b.add("t1", SND, "ch1")
-            rf.append((s_ch2_f[j - 1, p], b.add("t1", RCV, "ch2")))
-            for q, lit in enumerate(cl, start=1):
-                if abs(lit) == p:
-                    s_cl_f[j, q] = b.add("t1", SND, f"c{q}")
-            rf.append((s_ch1_f[j - 1, p], b.add("t1", RCV, "ch1")))
-            s_ch2_f[j, p] = b.add("t1", SND, "ch2")
-        clause_rcvs.append((j, 1, b.add("t1", RCV, "c1"), True))
-        clause_rcvs.append((j, 2, b.add("t1", RCV, "c2"), False))
-    # Thread 2: true side.
-    for p in range(1, nv + 1):
-        s_ch2_t[0, p] = b.add("t2", SND, "ch2")
-        s_ch1_t[0, p] = b.add("t2", SND, "ch1")
-    for j, cl in enumerate(sorted_clauses, start=1):
-        for p in range(1, nv + 1):
-            s_ch2_t[j, p] = b.add("t2", SND, "ch2")
-            rf.append((s_ch1_t[j - 1, p], b.add("t2", RCV, "ch1")))
-            for q, lit in enumerate(cl, start=1):
-                if abs(lit) == p:
-                    s_cl_t[j, q] = b.add("t2", SND, f"c{q}")
-            rf.append((s_ch2_t[j - 1, p], b.add("t2", RCV, "ch2")))
-            s_ch1_t[j, p] = b.add("t2", SND, "ch1")
-        clause_rcvs.append((j, 2, b.add("t2", RCV, "c2"), True))
-        clause_rcvs.append((j, 3, b.add("t2", RCV, "c3"), False))
+
+    def take(th: str, j: int, slot: int, want_true: bool) -> None:
+        # Straight wiring for a positive literal, crossed for a negated one.
+        side = want_true == (sorted_clauses[j - 1][slot - 1] > 0)
+        b.rcv(th, f"c{slot}", (side, j))
+
+    # Relay sends are tagged (side, phase, variable); phase 0 is the prelude.
+    for side, th, ra, rb in ((False, "t1", "ch1", "ch2"), (True, "t2", "ch2", "ch1")):
+        for p in range(1, f.n_vars + 1):
+            b.snd(th, ra, (side, 0, p))
+            b.snd(th, rb, (side, 0, p))
+        for j, cl in enumerate(sorted_clauses, start=1):
+            for p in range(1, f.n_vars + 1):
+                b.snd(th, ra, (side, j, p))
+                b.rcv(th, rb, (side, j - 1, p))
+                for q, lit in enumerate(cl, start=1):
+                    if abs(lit) == p:
+                        b.snd(th, f"c{q}", (side, j))
+                b.rcv(th, ra, (side, j - 1, p))
+                b.snd(th, rb, (side, j, p))
+            take(th, j, 1 + side, True)
+            take(th, j, 2 + side, False)
     # Thread 3: clause receives only.
-    for j in range(1, nc + 1):
-        clause_rcvs.append((j, 3, b.add("t3", RCV, "c3"), True))
-        clause_rcvs.append((j, 1, b.add("t3", RCV, "c1"), False))
-    # Straight wiring for a positive literal, crossed for a negated one.
-    for j, slot, rcv_id, want_true in clause_rcvs:
-        positive = sorted_clauses[j - 1][slot - 1] > 0
-        table = s_cl_t if (want_true == positive) else s_cl_f
-        rf.append((table[j, slot], rcv_id))
-    return make_instance("abstract", b.events, cap, rf)
+    for j in range(1, len(sorted_clauses) + 1):
+        take("t3", j, 3, True)
+        take("t3", j, 1, False)
+    return b.instance(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -467,86 +439,52 @@ def from_orthogonal_vectors(ov: OvInstance) -> Instance:
     backward, and the relay channels can only line up when the chosen A/B
     pair shares no coordinate channel — i.e. when the vectors are orthogonal.
     All-zero vectors expand to empty coordinate blocks and are rejected.
+    With one vector per side the first and last blocks are one, and the
+    beta relay is not used.
     """
     if any(not any(vec) for vec in ov.a + ov.b):
         raise ValueError("all-zero vectors are not supported")
     n = len(ov.a)
-    d = len(ov.a[0])
     cap: dict[str, float] = {"alpha": INF, "beta": INF, "gamma": INF, "delta": INF}
-    for j in range(1, d + 1):
+    for j in range(1, len(ov.a[0]) + 1):
         cap[f"ch{j}"] = INF
-
-    def nz(vec: tuple[int, ...]) -> list[int]:
-        return [j + 1 for j, x in enumerate(vec) if x]
-
     b = _Builder()
-    sends: dict[tuple[str, tuple], int] = {}
-    rf: list[tuple[int, int]] = []
 
-    def snd(th: str, ch: str, tag: tuple) -> None:
-        sends[ch, tag] = b.add(th, SND, ch)
-
-    def rcv(th: str, ch: str, tag: tuple) -> None:
-        rf.append((sends[ch, tag], b.add(th, RCV, ch)))
+    def coords(put, th: str, vec: tuple[int, ...], tag: tuple) -> None:
+        for j, x in enumerate(vec, start=1):
+            if x:
+                put(th, f"ch{j}", tag)
 
     for i in range(1, n + 1):
-        for j in nz(ov.a[i - 1]):
-            snd("tA", f"ch{j}", ("a", i, j))
-        snd("tA", "alpha", ("a", i))
-    if n == 1:
-        rcv("tA", "alpha", ("a", 1))
-        snd("tA", "gamma", ("g",))
-    else:
-        rcv("tA", "alpha", ("a", 1))
-        snd("tA", "gamma", ("g",))
-        snd("tA", "beta", ("a", 1))
-        for j in nz(ov.a[0]):
-            rcv("tA", f"ch{j}", ("a", 1, j))
-        for i in range(2, n):
-            rcv("tA", "alpha", ("a", i))
-            rcv("tA", "beta", ("a", i - 1))
-            snd("tA", "beta", ("a", i))
-            for j in nz(ov.a[i - 1]):
-                rcv("tA", f"ch{j}", ("a", i, j))
-        rcv("tA", "alpha", ("a", n))
-        rcv("tA", "beta", ("a", n - 1))
-
+        coords(b.snd, "tA", ov.a[i - 1], ("a", i))
+        b.snd("tA", "alpha", ("a", i))
+    for i in range(1, n + 1):
+        b.rcv("tA", "alpha", ("a", i))
+        if i == 1:
+            b.snd("tA", "gamma", "g")
+        else:
+            b.rcv("tA", "beta", i - 1)
+        if i < n:
+            b.snd("tA", "beta", i)
+            coords(b.rcv, "tA", ov.a[i - 1], ("a", i))
     for i in range(n, 0, -1):
-        snd("tB", "alpha", ("b", i))
-        for j in nz(ov.b[i - 1]):
-            snd("tB", f"ch{j}", ("b", i, j))
-
-    if n == 1:
-        # Degenerate single-vector form: the end blocks merge.
-        for j in nz(ov.b[0]):
-            rcv("tB", f"ch{j}", ("b", 1, j))
-        snd("tB", "delta", ("d",))
-        rcv("tA", "delta", ("d",))
-        for j in nz(ov.a[0]):
-            rcv("tA", f"ch{j}", ("a", 1, j))
-        rcv("tB", "gamma", ("g",))
-        rcv("tB", "alpha", ("b", 1))
-        return make_instance("abstract", b.events, cap, rf)
-
-    for j in nz(ov.b[n - 1]):
-        rcv("tB", f"ch{j}", ("b", n, j))
-    snd("tB", "delta", ("d",))
-    snd("tB", "beta", ("B",))
-    # The delta receive closes thread A's last block, built above lazily.
-    rcv("tA", "delta", ("d",))
-    for j in nz(ov.a[n - 1]):
-        rcv("tA", f"ch{j}", ("a", n, j))
-    for i in range(n - 1, 1, -1):
-        for j in nz(ov.b[i - 1]):
-            rcv("tB", f"ch{j}", ("b", i, j))
-        rcv("tB", "alpha", ("b", i + 1))
-    for j in nz(ov.b[0]):
-        rcv("tB", f"ch{j}", ("b", 1, j))
-    rcv("tB", "alpha", ("b", 2))
-    rcv("tB", "beta", ("B",))
-    rcv("tB", "gamma", ("g",))
-    rcv("tB", "alpha", ("b", 1))
-    return make_instance("abstract", b.events, cap, rf)
+        b.snd("tB", "alpha", ("b", i))
+        coords(b.snd, "tB", ov.b[i - 1], ("b", i))
+    coords(b.rcv, "tB", ov.b[n - 1], ("b", n))
+    b.snd("tB", "delta", "d")
+    if n > 1:
+        b.snd("tB", "beta", "B")
+    # The delta receive closes thread A's last block.
+    b.rcv("tA", "delta", "d")
+    coords(b.rcv, "tA", ov.a[n - 1], ("a", n))
+    for i in range(n - 1, 0, -1):
+        coords(b.rcv, "tB", ov.b[i - 1], ("b", i))
+        b.rcv("tB", "alpha", ("b", i + 1))
+    if n > 1:
+        b.rcv("tB", "beta", "B")
+    b.rcv("tB", "gamma", "g")
+    b.rcv("tB", "alpha", ("b", 1))
+    return b.instance(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +518,13 @@ def from_vsc_read(v: VscReadInstance) -> Instance:
         if e.op == "r" and e.id not in rf_of:
             raise ValueError(f"read {e.id} has no rf source")
 
-    # Reader lists per write, ordered by (thread token, listing order).
-    order = {e.id: i for i, e in enumerate(v.events)}
+    # Threads by token, each in listing order (the sort is stable), so each
+    # write's readers are listed by (thread token, listing order).
+    ordered = sorted(v.events, key=lambda e: e.thread)
     readers: dict[int, list[int]] = defaultdict(list)
-    for r, w in rf_of.items():
-        readers[w].append(r)
-    for w in readers:
-        readers[w].sort(key=lambda r: (by_id[r].thread, order[r]))
+    for e in ordered:
+        if e.op == "r":
+            readers[rf_of[e.id]].append(e.id)
 
     slots: dict[str, int] = defaultdict(int)  # register -> m_x
     for e in v.events:
@@ -598,31 +536,21 @@ def from_vsc_read(v: VscReadInstance) -> Instance:
         for i in range(1, m + 1):
             cap[f"ch_{x}_{i}"] = 1.0
 
+    # Every send is tagged with its memory event's id; a read takes its write's.
     b = _Builder()
-    rf: list[tuple[int, int]] = []
-    slot_snd: dict[tuple[int, int], int] = {}  # (write id, slot) -> send id
-    reader_rcv: dict[int, tuple[int, int]] = {}  # read id -> (rcv id, slot)
-    threads = sorted({e.thread for e in v.events})
-    for th in threads:
-        for e in v.events:
-            if e.thread != th:
-                continue
-            lock_s = b.add(th, SND, "lock")
-            if e.op == "w":
-                m = slots[e.register]
-                p = len(readers[e.id])
-                for i in range(1, m + 1):
-                    slot_snd[e.id, i] = b.add(th, SND, f"ch_{e.register}_{i}")
-                for i in range(p + 1, m + 1):
-                    rf.append((slot_snd[e.id, i], b.add(th, RCV, f"ch_{e.register}_{i}")))
-            else:
-                w = rf_of[e.id]
-                i = readers[w].index(e.id) + 1
-                reader_rcv[e.id] = (b.add(th, RCV, f"ch_{e.register}_{i}"), i)
-            rf.append((lock_s, b.add(th, RCV, "lock")))
-    for r, (rcv_id, i) in reader_rcv.items():
-        rf.append((slot_snd[rf_of[r], i], rcv_id))
-    return make_instance("abstract", b.events, cap, rf)
+    for e in ordered:
+        th, x = e.thread, e.register
+        b.snd(th, "lock", e.id)
+        if e.op == "w":
+            for i in range(1, slots[x] + 1):
+                b.snd(th, f"ch_{x}_{i}", e.id)
+            for i in range(len(readers[e.id]) + 1, slots[x] + 1):
+                b.rcv(th, f"ch_{x}_{i}", e.id)
+        else:
+            w = rf_of[e.id]
+            b.rcv(th, f"ch_{x}_{readers[w].index(e.id) + 1}", w)
+        b.rcv(th, "lock", e.id)
+    return b.instance(cap)
 
 
 # ---------------------------------------------------------------------------

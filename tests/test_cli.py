@@ -87,6 +87,14 @@ class TestCheck:
         r = run("check", "no_such_file.vchk")
         assert r.exit_code == 2
 
+    def test_duplicate_kind_exit_two(self, tmp_path):
+        path = tmp_path / "two_kinds.vchk"
+        path.write_text("vchk v1\nkind trace\nkind abstract\nchannel c cap 1\n")
+        r = run("check", path)
+        assert r.exit_code == 2
+        assert "line 3: duplicate kind directive" in r.stderr
+        assert "result:" not in r.stdout
+
     def test_algo_selection(self, fixtures):
         r = run("check", fixtures / "sync_triangle_positive.vchk", "--algo", "sync")
         assert r.exit_code == 0
@@ -230,6 +238,13 @@ class TestGenerate:
         src.write_text("not a digraph\n")
         r = run("generate", "--reduction", "ham", "--input", src)
         assert r.exit_code == 2
+
+    def test_satlib_dimacs_source(self, tmp_path):
+        src = tmp_path / "uf3.cnf"
+        src.write_text("c SATLIB style\np cnf 3 1\n1 -2 3 0\n%\n0\n")
+        r = run("generate", "--reduction", "3sat", "--input", src)
+        assert r.exit_code == 0
+        assert r.output.startswith("vchk v1\n")
 
     def test_usage_error(self):
         r = run("generate")

@@ -76,6 +76,11 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match="kind"):
             parse_instance("vchk v1\nchannel c cap 1\n")
 
+    def test_duplicate_kind(self):
+        # The first kind line is not silently overridden by a later one.
+        with pytest.raises(ParseError, match="line 3: duplicate kind directive"):
+            parse_instance("vchk v1\nkind trace\nkind abstract\nchannel c cap 1\n")
+
     def test_undeclared_channel(self):
         with pytest.raises(ParseError, match="capacity line"):
             parse_instance("vchk v1\nkind abstract\nevent 1 t snd c\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -23,6 +24,7 @@ from chanlin.generators import (
     MemEvent,
     OvInstance,
     VscReadInstance,
+    _Builder,
     from_3sat_t3_m5,
     from_hamiltonian,
     from_one_in_three_two_threads,
@@ -304,6 +306,11 @@ class TestParsers:
         assert v.events[0].op == "w"
         assert v.rf == ((1, 2),)
 
+    def test_dimacs_stops_at_percent_line(self):
+        # SATLIB files close with a "%" line and a lone "0".
+        f = parse_dimacs("c uf3\np cnf 3 2\n1 -2 3 0\n-1 2 3 0\n%\n0\n\n")
+        assert f == CnfFormula(3, ((1, -2, 3), (-1, 2, 3)))
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             parse_digraph("3\n0 1\n")
@@ -311,6 +318,18 @@ class TestParsers:
             parse_dimacs("1 2 0\n")
         with pytest.raises(ValueError):
             parse_ov("ov 1 2\n01\n")  # missing B row
+        # A bad integer or row names its line.
+        for parse, text, line in [
+            (parse_digraph, "digraph 3\n0 x", 2),
+            (parse_digraph, "digraph three\n", 1),
+            (parse_dimacs, "p cnf 3 1\n\n1 y 0\n", 3),
+            (parse_ov, "ov 1 z\n1\n1\n", 1),
+            (parse_ov, "ov 1 2\n01\n# B\n0a\n", 4),
+            (parse_vsc_read, "event 1 t1 w x\nevent k t2 r x\n", 2),
+            (parse_vsc_read, "event 1 t1 w x\nrf 1 q\n", 2),
+        ]:
+            with pytest.raises(ValueError, match=f"^line {line}: "):
+                parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +451,115 @@ class TestMutateRf:
                 es, er = events[index[s]], events[index[r]]
                 assert es.channel == er.channel
                 assert es.op == "snd" and er.op == "rcv"
+
+
+# ---------------------------------------------------------------------------
+# Byte pins: every reduction's output on a fixed input family
+# ---------------------------------------------------------------------------
+
+
+def _sign_patterns() -> list[tuple[int, ...]]:
+    return [
+        tuple(v if bit else -v for v, bit in zip((1, 2, 3), bits))
+        for bits in itertools.product([0, 1], repeat=3)
+    ]
+
+
+def _pin_3sat() -> list[CnfFormula]:
+    """The 93 formula shapes of the sat3-search workload, then 60 random
+    formulas whose clauses may repeat a variable."""
+    pats = _sign_patterns()
+    shapes = [combo for size in (1, 2, 3) for combo in itertools.combinations(pats, size)]
+    shapes.append(tuple(pats))
+    out = [CnfFormula(3, shape) for shape in shapes]
+    rng = random.Random(41)
+    for _ in range(60):
+        nv = rng.randint(1, 5)
+        out.append(CnfFormula(nv, tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(3))
+            for _ in range(rng.randint(0, 4))
+        )))
+    return out
+
+
+def _pin_1in3() -> list[CnfFormula]:
+    rng = random.Random(42)
+    out = [CnfFormula(3, ()), CnfFormula(3, ((1, 2, 3),))]
+    for _ in range(40):
+        nv = rng.randint(3, 6)
+        out.append(CnfFormula(nv, tuple(
+            tuple(rng.sample(range(1, nv + 1), 3)) for _ in range(rng.randint(1, 4))
+        )))
+    return out
+
+
+def _pin_digraphs() -> list[Graph]:
+    rng = random.Random(43)
+    out = [Graph(1, ()), Graph(3, ((0, 1), (1, 2)))]
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        out.append(Graph(n, tuple(
+            (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.5
+        )))
+    return out
+
+
+def _pin_ov() -> list[OvInstance]:
+    rng = random.Random(44)
+    out = []
+    for _ in range(40):
+        n, d = rng.randint(1, 4), rng.randint(1, 4)
+        vecs = []
+        while len(vecs) < 2 * n:
+            vec = tuple(rng.randint(0, 1) for _ in range(d))
+            if any(vec):
+                vecs.append(vec)
+        out.append(OvInstance(tuple(vecs[:n]), tuple(vecs[n:])))
+    return out
+
+
+def _pin_vsc() -> list[VscReadInstance]:
+    rng = random.Random(45)
+    out = []
+    while len(out) < 60:
+        v = random_vsc_read(rng, max_events=10)
+        if v is not None:
+            out.append(v)
+    return out
+
+
+def _digest(reduce, inputs) -> str:
+    h = hashlib.sha256()
+    for x in inputs:
+        h.update(serialize_instance(reduce(x)).encode())
+    return h.hexdigest()
+
+
+class TestBytePins:
+    # sha256 over serialize_instance of each input's reduction, in order.
+    @pytest.mark.parametrize(
+        "reduce, family, pin",
+        [
+            (from_3sat_t3_m5, _pin_3sat,
+             "181e7cf0c34523ea1c8259ea86ad335044c1a50673ce65281ab3da5cb5f50be2"),
+            (from_one_in_three_two_threads, _pin_1in3,
+             "b303a2c154bcd4ce3f34f479e5b299b0dfa53559f954c689cf401308cb0795cd"),
+            (from_hamiltonian, _pin_digraphs,
+             "8dd096d83a9d158f1a17279cba0f181e90e79dd9446e553d65c6fb99ff0c54b9"),
+            (from_orthogonal_vectors, _pin_ov,
+             "89f923dc6b217d52e070e920d868902dcf127c077c516c211815ef6ed511d534"),
+            (from_vsc_read, _pin_vsc,
+             "db0db8338a2f600622137d0f1379b89c0ebe6ccca5a8dd59d77e7617f4f298d2"),
+        ],
+    )
+    def test_reduction_bytes(self, reduce, family, pin):
+        assert _digest(reduce, family()) == pin
+
+    def test_undeclared_tag_raises(self):
+        b = _Builder()
+        b.rcv("t1", "c", "x")  # a receive may come before its send
+        b.snd("t2", "c", "x")
+        assert b.instance({"c": INF}).rf == ((2, 1),)
+        b.rcv("t1", "c", "y")
+        with pytest.raises(ValueError, match="takes undeclared tag 'y'"):
+            b.instance({"c": INF})
