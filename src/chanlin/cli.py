@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 import click
 
@@ -29,7 +30,7 @@ from .core import (
     parse_instance,
     serialize_instance,
 )
-from .fastpath import solve_acyclic, solve_sync
+from .fastpath import _acyclic_users, solve_acyclic, solve_sync
 from .frontier import solve_vch, solve_vchrf, solve_vchrf_saturated
 from .generators import (
     from_3sat_t3_m5,
@@ -48,6 +49,10 @@ from .oracle import brute_force
 from .smt import SolverError, emit_smtlib, run_external_solver
 
 ALGOS = ["auto", "frontier", "frontier-rf", "sync", "acyclic", "brute"]
+
+# `auto` gives the search AUTO_STATES_PER_EVENT * (n + 1) states on an instance
+# that `solve_acyclic` accepts before it falls back to the 2SAT.
+AUTO_STATES_PER_EVENT = 4
 
 
 def _echo(text: str, nl: bool = True, stream: str = "stdout") -> None:
@@ -97,17 +102,25 @@ def _dispatch(inst: Instance, algo: str, saturation: bool) -> tuple[Verdict, str
         return solve_sync(inst), "sync"
     if algo == "acyclic":
         return solve_acyclic(inst), "acyclic"
+    if saturation:
+        search, name = solve_vchrf_saturated, "frontier-rf-saturated"
+    else:
+        search, name = solve_vchrf, "frontier-rf"
     if algo == "auto":
-        # Fastest applicable algorithm, falling back to the frontier search.
         if inst.events and all(cap[e.channel] == 0 for e in inst.events):
             return solve_sync(inst), "sync"
+        # Where solve_acyclic applies, the search runs first under a linear
+        # budget, and the polynomial 2SAT decides the instance if it runs out.
         try:
-            return solve_acyclic(inst), "acyclic"
+            _acyclic_users(inst)
         except AlgorithmRefused:
-            pass
-    if saturation:
-        return solve_vchrf_saturated(inst), "frontier-rf-saturated"
-    return solve_vchrf(inst), "frontier-rf"
+            return search(inst), name
+        max_states = AUTO_STATES_PER_EVENT * (inst.n + 1)
+        try:
+            return search(inst, max_states=max_states), name
+        except AlgorithmRefused:
+            return replace(solve_acyclic(inst), explored=max_states + 1), "acyclic"
+    return search(inst), name
 
 
 def _show(ctx: click.Context, param: click.Parameter, value: bool) -> None:

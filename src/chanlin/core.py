@@ -94,8 +94,11 @@ class Verdict:
     ``witness`` is a tuple of event ids (a concretization) present iff
     consistent; ``explored`` counts distinct search states generated after
     the search's reductions, where a rendezvous is one move (0 for non-search
-    algorithms and early rejections); ``reason`` documents inconsistency
-    verdicts produced by validation short-circuits.
+    algorithms and early rejections); when ``chanlin check``'s ``auto`` falls
+    back to ``solve_acyclic`` after its budgeted search ran out, it is that
+    budget plus one, the least the search generated before it gave up;
+    ``reason`` documents inconsistency verdicts produced by validation
+    short-circuits.
     """
 
     outcome: str  # CONSISTENT | INCONSISTENT

@@ -326,6 +326,17 @@ def _neg(l):
 # ---------------------------------------------------------------------------
 
 
+def _acyclic_users(inst: Instance) -> dict[str, tuple[str, ...]]:
+    """Refuse an instance outside :func:`solve_acyclic`'s scope, a channel of
+    effective capacity 2 or more or a cyclic communication topology; else
+    return each channel's users."""
+    _classify(inst)
+    topo = communication_topology(inst)
+    if not topo.acyclic:
+        raise AlgorithmRefused("communication topology is cyclic")
+    return topo.users
+
+
 def solve_acyclic(inst: Instance) -> Verdict:
     """Compositional solver for acyclic communication topologies.
 
@@ -351,16 +362,11 @@ def solve_acyclic(inst: Instance) -> Verdict:
     which takes the lowest ready block, returns the same order.
     """
     cap, mate = inst.cap_map, inst.mate
-    _classify(inst)
-    topo = communication_topology(inst)
-    if not topo.acyclic:
-        raise AlgorithmRefused("communication topology is cyclic")
-
+    users = _acyclic_users(inst)
     bad = rf_defect(inst)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
 
-    users = topo.users
     events = inst.events
     sub_idx: dict[tuple[str, ...], list[int]] = defaultdict(list)
     sub_rf: dict[tuple[str, ...], list[tuple[int, int]]] = defaultdict(list)

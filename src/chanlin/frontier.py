@@ -62,10 +62,11 @@ order.  By induction over the derivation of x ≺ r, every such x is executed:
 
 from __future__ import annotations
 
+import sys
 from itertools import pairwise
 from operator import ge
 
-from .core import CONSISTENT, INCONSISTENT, SND, Instance, Verdict, rf_defect
+from .core import CONSISTENT, INCONSISTENT, SND, AlgorithmRefused, Instance, Verdict, rf_defect
 from .saturation import SaturatedOrder, saturate
 
 
@@ -78,26 +79,36 @@ def solve_vch(inst: Instance) -> Verdict:
     return _search(inst, by_rf=False, order=None)
 
 
-def solve_vchrf(inst: Instance) -> Verdict:
-    """Decide VCh-rf consistency by frontier reachability."""
+def solve_vchrf(inst: Instance, max_states: int | None = None) -> Verdict:
+    """Decide VCh-rf consistency by frontier reachability; ``max_states`` as
+    in :func:`_search`."""
     bad = rf_defect(inst)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
-    return _search(inst, by_rf=True, order=None)
+    return _search(inst, by_rf=True, order=None, max_states=max_states)
 
 
-def solve_vchrf_saturated(inst: Instance) -> Verdict:
-    """VCh-rf with saturation: early cycle rejection, then pruned search."""
+def solve_vchrf_saturated(inst: Instance, max_states: int | None = None) -> Verdict:
+    """VCh-rf with saturation: early cycle rejection, then pruned search;
+    ``max_states`` as in :func:`_search`."""
     bad = rf_defect(inst)
     if bad is not None:
         return Verdict(INCONSISTENT, reason=bad)
     order = saturate(inst)
     if order.cyclic:
         return Verdict(INCONSISTENT, explored=0, reason="saturation cycle")
-    return _search(inst, by_rf=True, order=order)
+    return _search(inst, by_rf=True, order=order, max_states=max_states)
 
 
-def _search(inst: Instance, by_rf: bool, order: SaturatedOrder | None) -> Verdict:
+def _search(
+    inst: Instance, by_rf: bool, order: SaturatedOrder | None, max_states: int | None = None
+) -> Verdict:
+    """Search from the source state for the sink.  With a ``max_states``
+    budget, the first pop of a non-sink state after more than that many
+    states were seen raises :class:`~chanlin.core.AlgorithmRefused`, so a
+    verdict is never read from an unfinished search; a search that exhausts
+    its space within the budget is still a sound inconsistent verdict."""
+    budget = sys.maxsize if max_states is None else max_states
     cap, events = inst.cap_map, inst.events
     t = len(inst.threads)
     async_chs = sorted({e.channel for e in events if cap[e.channel] > 0})
@@ -143,6 +154,8 @@ def _search(inst: Instance, by_rf: bool, order: SaturatedOrder | None) -> Verdic
         if counts == lens:
             witness = tuple(events[i].id for i in path)
             return Verdict(CONSISTENT, witness=witness, explored=len(seen))
+        if len(seen) > budget:
+            raise AlgorithmRefused(f"search passed its budget of {max_states} states")
 
         children: list[tuple[tuple, tuple[int, ...]]] = []
         for ti in range(t):

@@ -44,7 +44,7 @@ def test_traced_checks_record_layer_counts(fixtures):
     try:
         for name, algo in [
             ("sync_triangle_positive.vchk", "frontier-rf"),
-            ("two_thread_cap1_negative_rf.vchk", "auto"),
+            ("two_thread_cap1_negative_rf.vchk", "acyclic"),
         ]:
             with t.root(name):
                 try:

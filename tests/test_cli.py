@@ -197,6 +197,40 @@ class TestCheck:
         assert r.exit_code == 1
         assert "algorithm: frontier-rf" in r.output
 
+    @pytest.fixture
+    def two_thread_draw(self, tmp_path):
+        """A consistent two-thread draw with acyclic topology whose
+        unsaturated search takes 101 states, past the budget of 4·(20 + 1)."""
+        path = tmp_path / "draw.vchk"
+        r = run("generate", "random", "--events", 20, "--threads", 2, "--channels", 3,
+                "--caps", "0,1,inf", "--seed", 71, "--output", path)
+        assert r.exit_code == 0
+        return path
+
+    def test_auto_tries_the_budgeted_search_first(self, two_thread_draw):
+        r = run("check", two_thread_draw)
+        assert r.exit_code == 0
+        assert "algorithm: frontier-rf-saturated" in r.output
+
+    def test_auto_falls_back_to_2sat_past_the_budget(self, two_thread_draw):
+        r = run("check", two_thread_draw, "--no-saturation")
+        assert r.exit_code == 0
+        assert "algorithm: acyclic\nexplored: 85\n" in r.output
+
+    def test_frontier_rf_is_never_budgeted(self, two_thread_draw):
+        r = run("check", two_thread_draw, "--algo", "frontier-rf", "--no-saturation")
+        assert r.exit_code == 0
+        assert "algorithm: frontier-rf\nexplored: 101\n" in r.output
+
+    def test_auto_at_budget_0(self, fixtures, two_thread_draw, monkeypatch):
+        monkeypatch.setattr("chanlin.cli.AUTO_STATES_PER_EVENT", 0)
+        r = run("check", two_thread_draw)
+        assert r.exit_code == 0
+        assert "algorithm: acyclic\nexplored: 1\n" in r.output
+        r = run("check", fixtures / "two_thread_cap1_negative_rf.vchk")
+        assert r.exit_code == 1  # by a saturation cycle, before any search
+        assert "algorithm: frontier-rf-saturated" in r.output
+
     def test_version_from_source(self):
         r = run("--version")
         assert r.exit_code == 0

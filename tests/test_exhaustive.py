@@ -11,9 +11,10 @@ The scope (small-scope testing, Jackson, *Software Abstractions*, 2006):
   (sends may stay pending);
 * value mode: every value assignment from ``x``/``y``, ``x`` used first.
 
-The test suite runs rf mode at n ≤ 5 and value mode at n ≤ 4.  For a larger
-scope, from the repository root (each mismatch is printed in the instance
-file format)::
+The test suite runs rf mode at n ≤ 5, there also ``chanlin check``'s
+``auto`` dispatch with and without saturation, at its search budget and at a
+budget of 0, and value mode at n ≤ 4.  For a larger scope, from the
+repository root (each mismatch is printed in the instance file format)::
 
     PYTHONPATH=src python -m tests.test_exhaustive --max-n 7 [--mode value]
 """
@@ -25,6 +26,7 @@ import itertools
 import time
 from collections import defaultdict
 
+from chanlin import cli
 from chanlin import (
     INF,
     AlgorithmRefused,
@@ -136,6 +138,29 @@ def run(instances, solvers) -> tuple[int, list[tuple[Instance, list[str]]]]:
 def test_rf_mode_matches_brute_force():
     count, bad = run(rf_instances(5), RF_SOLVERS)
     assert count == 32_912
+    assert not bad, bad[:3]
+
+
+def test_auto_matches_brute_force(monkeypatch):
+    """``auto``, with and without saturation: first at a budget of 0, so
+    each instance that reaches the budgeted search falls back to the 2SAT,
+    then at the default budget where that fallback happened; elsewhere the
+    budget was not read, so no budget changes the route."""
+    budget, bad = cli.AUTO_STATES_PER_EVENT, []
+    for inst in rf_instances(5):
+        want = brute_force(inst, inst.cap_map, inst.rf, bound=inst.n).outcome
+        for saturation in (True, False):
+            for per_event in (0, budget):
+                monkeypatch.setattr(cli, "AUTO_STATES_PER_EVENT", per_event)
+                got, used = cli._dispatch(inst, "auto", saturation)
+                try:
+                    assert got.outcome == want, f"{got.outcome}, brute force {want}"
+                    if got.consistent:
+                        assert_valid_witness(inst, got)
+                except AssertionError as exc:
+                    bad.append((serialize_instance(inst), saturation, per_event, used, str(exc)))
+                if used != "acyclic":
+                    break
     assert not bad, bad[:3]
 
 
