@@ -23,9 +23,10 @@ the same chain over receives.  The least fixpoint is unchanged.
 Rules 2 and 3 give static edges.  Rule 2 links only the t² pairs per channel
 of :func:`~chanlin.core.pending_edges`; po orders every other matched send
 before every unmatched one through them, so the fixpoint is unchanged.  Rule 3
-copies each po or rule 2 edge u → v to start at u's receive when u is a
-synchronous send and to end at v's send when v is a synchronous receive;
-derived edges need no copies (see :func:`saturate`).
+moves each po or rule 2 edge u → v to start at u's receive when u is a
+synchronous send and to end at v's send when v is a synchronous receive; with
+those pairs' rf edges the moved edge implies u → v.  A pair's own s → r stays.
+Derived edges need no moving (see :func:`saturate`).
 
 A cycle in the saturated order certifies inconsistency; otherwise every
 concretization must respect the order, which licenses aggressive pruning of
@@ -81,8 +82,8 @@ def saturate(inst: Instance) -> SaturatedOrder:
     rules is then closed under it.  For a synchronous pair (s, r), induction
     on the derivation of a ≺ b in R shows (i) a = s, b ≠ r ⇒ r ≺ b and
     (ii) b = r, a ≠ s ⇒ a ≺ s; the other two directions follow from s ≺ r.
-    Static edges have their copies, an rf edge s → r is exempt, and a
-    transitive step a ≺ b ≺ c inherits (i) from a ≺ b and (ii) from b ≺ c.
+    No static edge but s → r itself leaves s or enters r, and a transitive
+    step a ≺ b ≺ c inherits (i) from a ≺ b and (ii) from b ≺ c.
     A derived rule 1 edge r1 → r2 into a synchronous receive comes from
     s1 ≺ s2 between synchronous sends, which by (i) gives r1 ≺ s2; a rule 1
     backward edge s1 → s2 out of a synchronous send comes from r1 ≺ r2, which
@@ -94,8 +95,8 @@ def saturate(inst: Instance) -> SaturatedOrder:
     (they only lower ``succ`` entries) and an event is pushed again whenever
     an entry it reads is lowered, a chaotic iteration that reaches the same
     least fixpoint under any fair order.  Cost: the m static edges are
-    O(n + t²·channels) (po, rf, rule 2 pairs and at most three rule 3 copies
-    of each); the first sweep pulls each event's direct successors' rows after
+    O(n + t²·channels) (po, rf and rule 2 pairs, each moved at most once by
+    rule 3); the first sweep pulls each event's direct successors' rows after
     they were computed, O(t·(n + m) + t²·n·log n); an event pops again only
     when a derived edge lowers a row it read, so the worst case stays
     O(t·n³), while a token ring (nothing derived) pops each event once.
@@ -107,22 +108,19 @@ def saturate(inst: Instance) -> SaturatedOrder:
 
     eff_cap = classify_channels(inst)
     ch_of = [e.channel for e in events]
-    big = n + 1  # sentinel: larger than any po position
-    succ: list[list[int]] = [[big] * t for _ in range(n)]
+    succ: list[list[int]] = [[n + 1] * t for _ in range(n)]  # n + 1: past any po position
     # rf edges first: every matched receive's list starts with its send.
     preds: list[list[int]] = [[m] if m >= 0 and e.op == RCV else [] for e, m in zip(events, mate)]
 
     def link(u: int, v: int) -> None:
-        """Add the static edge u → v and its rule 3 copies (from u's receive,
-        into v's send), except self-loops, a pair's own r → s and known edges."""
+        """Add the static edge u → v, moved by rule 3 to start at u's receive
+        and to end at v's send when those are synchronous pairs' other ends."""
+        if mate[u] != v:  # a one-thread rendezvous s → r is no cycle
+            if mate[u] >= 0 and events[u].op == SND and cap[ch_of[u]] == 0:
+                u = mate[u]
+            if mate[v] >= 0 and events[v].op == RCV and cap[ch_of[v]] == 0:
+                v = mate[v]
         preds[v].append(u)
-        if cap[ch_of[u]] != 0 and cap[ch_of[v]] != 0:
-            return
-        ru = mate[u] if cap[ch_of[u]] == 0 and events[u].op == SND else -1
-        sv = mate[v] if cap[ch_of[v]] == 0 and events[v].op == RCV else -1
-        for a, b in ((ru, v), (u, sv), (ru, sv)):
-            if a >= 0 and b >= 0 and a != b and mate[a] != b and a not in preds[b]:
-                preds[b].append(a)
 
     # Program order: immediate successor edges seed both succ and preds.
     for a in range(n - 1):
@@ -165,7 +163,9 @@ def saturate(inst: Instance) -> SaturatedOrder:
     in_list = [True] * n
 
     def flow(p: int, a: int) -> bool:
-        """Record p ≺ a and pull a's successor knowledge into p."""
+        """Record p ≺ a and pull a's successor knowledge into p; requeue p if
+        that lowered its row.  Returns whether p now precedes itself."""
+        nonlocal cyclic
         changed = False
         sp, sa = succ[p], succ[a]
         for ti in range(t):
@@ -177,23 +177,18 @@ def saturate(inst: Instance) -> SaturatedOrder:
         if pa < sp[ta]:
             sp[ta] = pa
             changed = True
-        return changed
-
-    def push(a: int) -> None:
-        if not in_list[a]:
-            in_list[a] = True
-            work.append(a)
+        if sp[thr_of[p]] <= pos_of[p]:
+            cyclic = True
+        elif changed and not in_list[p]:
+            in_list[p] = True
+            work.append(p)
+        return cyclic
 
     def derive(u: int, v: int) -> None:
         """Record a derived u ≺ v as a direct edge, unless already known."""
-        nonlocal cyclic
-        if cyclic or succ[u][thr_of[v]] <= pos_of[v]:
-            return
-        preds[v].append(u)
-        flow(u, v)
-        if succ[u][thr_of[u]] <= pos_of[u]:
-            cyclic = True
-        push(u)
+        if not cyclic and succ[u][thr_of[v]] > pos_of[v]:
+            preds[v].append(u)
+            flow(u, v)
 
     def partners(a: int, tab: list[list[int]]):
         """Per thread, the earliest event of ``tab`` that ``a`` precedes."""
@@ -222,10 +217,7 @@ def saturate(inst: Instance) -> SaturatedOrder:
         # Transitive backward propagation to direct predecessors.
         for p in preds[a]:
             if flow(p, a):
-                if succ[p][thr_of[p]] <= pos_of[p]:
-                    cyclic = True
-                    break
-                push(p)
+                break
 
     order = SaturatedOrder(cyclic, succ)
     if not cyclic:

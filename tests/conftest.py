@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from chanlin import (
     check_well_formed,
     derive_abstract,
     make_instance,
+    saturate,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "instances"
@@ -90,6 +92,47 @@ def token_ring(rounds: int, caps: tuple[float, ...], swap: int | None = None) ->
         rf[swap], rf[t + swap] = (s1, r2), (s2, r1)
     cap = {f"c{i}": c for i, c in enumerate(caps)}
     return make_instance("abstract", events, cap, rf)
+
+
+def reverse(inst: Instance) -> Instance:
+    """The time reversal of a fully matched instance: each thread's program
+    order reversed, every send made a receive and every receive a send, and
+    each rf pair (s, r) turned into (r, s).  A witness read backward is a
+    witness of the reverse (at each cut the pending messages are the same,
+    and a FIFO channel's two ends reverse together), so the reverse is
+    consistent iff the instance is.  With a pending send the reverse would
+    need a channel that starts non-empty, so such instances are out of scope.
+    """
+    flip = {"snd": "rcv", "rcv": "snd"}
+    events = [Event(e.id, e.thread, flip[e.op], e.channel) for e in reversed(inst.events)]
+    return make_instance("abstract", events, inst.cap_map, [(r, s) for s, r in inst.rf])
+
+
+def fully_matched(inst: Instance) -> bool:
+    """Whether every event has an rf partner, so that ``reverse`` applies."""
+    return all(m >= 0 for m in inst.mate)
+
+
+def assert_reverses_to_converse(inst: Instance) -> bool:
+    """The saturated order of ``reverse(inst)`` is exactly the converse of
+    ``inst``'s; returns whether it is cyclic.
+
+    The saturation rules map onto their mirrors: rule 1 forward and backward
+    swap, rule 4's mirror is rule 1 backward then rule 4, rule 3 is symmetric
+    and rule 2 has no pending send to act on.  Compared through the per-thread
+    counts: the successors of an event in a thread are a po suffix, and in the
+    reverse they must be exactly the prefix of that thread that precedes it.
+    """
+    rev = reverse(inst)
+    order, rorder = saturate(inst), saturate(rev)
+    assert order.cyclic == rorder.cyclic
+    if not order.cyclic:
+        rthread = [rev.threads.index(th) for th in inst.threads]
+        for e, row in zip(inst.events, order.succ):
+            preds = rorder.pred_counts[rev.index[e.id]]
+            for ti, (a, b) in enumerate(pairwise(inst.start)):
+                assert preds[rthread[ti]] == b - a - min(row[ti], b - a), (e.id, ti)
+    return order.cyclic
 
 
 def rendezvous_count(inst: Instance) -> int:

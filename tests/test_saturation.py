@@ -17,8 +17,16 @@ from chanlin import (
     saturate,
     solve_vchrf_saturated,
 )
-from chanlin.generators import random_positive
-from .conftest import CAP_MENU, rand_instance, rendezvous_count, token_ring
+from chanlin.generators import mutate_rf, random_positive
+from .conftest import (
+    CAP_MENU,
+    assert_reverses_to_converse,
+    fully_matched,
+    rand_instance,
+    rendezvous_count,
+    reverse,
+    token_ring,
+)
 
 
 def precedes(x, order, e, f) -> bool:
@@ -149,9 +157,11 @@ class TestAgainstNaiveFixpoint:
     def test_token_rings_every_capacity_layout(self):
         # Two rounds of a four-thread ring: each thread holds two sends and
         # two receives of its channels.  The FIFO-swap twin must be cyclic.
+        # Both are fully matched, so both also reverse to their converse.
         for i, caps in enumerate(itertools.product(CAP_MENU, repeat=4)):
-            assert not assert_matches_naive(token_ring(2, caps))
-            assert assert_matches_naive(token_ring(2, caps, swap=i % 4))
+            ring, twin = token_ring(2, caps), token_ring(2, caps, swap=i % 4)
+            assert not assert_matches_naive(ring) and not assert_reverses_to_converse(ring)
+            assert assert_matches_naive(twin) and assert_reverses_to_converse(twin)
 
     def test_order_reaches_later_partner_through_chain(self):
         # s1 ≺ s2 ≺po s3 on channel c, s2 and s3 in one thread, receives in
@@ -192,14 +202,13 @@ class TestAgainstNaiveFixpoint:
 
 
 class TestRendezvousRule:
-    """Rule 3 as static edges: each po or rule 2 edge is copied from a
-    synchronous send's receive and into a synchronous receive's send, for all
-    four end pairs."""
+    """Rule 3 as static edges: each po or rule 2 edge is moved to start at a
+    synchronous send's receive and to end at a synchronous receive's send."""
 
     def test_po_edge_between_two_pairs_orders_receive_before_send(self):
         # t3 runs snd 5 then rcv 6; pair (5, 4) must complete before pair
-        # (1, 6) starts, so 4 ≺ 1, which needs the copy from 5's receive into
-        # 6's send of the po edge 5 → 6.
+        # (1, 6) starts, so 4 ≺ 1, which is the po edge 5 → 6 moved to run
+        # from 5's receive to 6's send.
         events = [
             Event(1, "t2", "snd", "c"),
             Event(4, "t4", "rcv", "c"),
@@ -230,10 +239,48 @@ class TestRendezvousRule:
         assert not assert_matches_naive(inst)
 
     def test_synchronous_heavy_instances(self):
+        # First a one-thread pair: as send then receive its own po edge must
+        # stay put, or it would become the cycle r → s → r; as receive then
+        # send it is a cycle.
+        for ops, rf, cyclic in ((("snd", "rcv"), (1, 2), False), (("rcv", "snd"), (2, 1), True)):
+            events = [Event(i, "t1", op, "c") for i, op in enumerate(ops, 1)]
+            assert assert_matches_naive(make_instance("abstract", events, {"c": 0.0}, [rf])) == cyclic
         rng = random.Random(13)
         caps = (0.0, 0.0, 1.0, INF)
         for _ in range(1000):
             assert_matches_naive(rand_instance(rng, True, n_max=12, t_max=4, caps=caps))
+
+
+class TestTimeReversal:
+    """The saturated order of an instance's time reversal is the converse of
+    its own (:func:`~tests.conftest.assert_reverses_to_converse`), and both
+    have one verdict.  This needs no oracle, so it runs at any size; the
+    token rings of every capacity layout are checked with the naive fixpoint
+    above."""
+
+    def test_random_draws(self):
+        # random_positive draws (consistent) and their one-round mutate_rf
+        # twins (often cyclic), n 4 to 16, fully matched ones only.
+        rng = random.Random(15)
+        draws = []
+        for seed in range(800):
+            n, t, m = 2 * rng.randint(2, 8), rng.randint(2, 4), rng.randint(1, 3)
+            base, _ = random_positive(n, t, m, CAP_MENU, seed)  # n even: handshakes fill it
+            draws += [base, mutate_rf(base, seed, 1)[0]] if base.rf else [base]
+        draws = [x for x in draws if fully_matched(x)]
+        cyclic = sum(assert_reverses_to_converse(x) for x in draws)
+        assert len(draws) > 700 and 0 < cyclic < len(draws)
+        for x in draws:
+            assert solve_vchrf_saturated(x).outcome == solve_vchrf_saturated(reverse(x)).outcome
+
+    def test_long_ring(self):
+        caps = (0.0, 1.0, 2.0, INF)
+        ring = token_ring(2500, caps)
+        assert ring.n == 20_000
+        assert not assert_reverses_to_converse(ring)
+        assert solve_vchrf_saturated(ring).consistent
+        assert solve_vchrf_saturated(reverse(ring)).consistent
+        assert assert_reverses_to_converse(token_ring(2500, caps, swap=1))
 
 
 class TestDirectEdgeCycles:
